@@ -114,8 +114,8 @@ def _tail_to_state(tail: FileTail, directory: Path) -> dict:
         "host": tail.name.host,
         "rid": tail.name.rid,
         "offset": tail.offset,
-        "carry": base64.b64encode(tail.carry).decode("ascii"),
-        "lineno": tail.lineno,
+        "carry": base64.b64encode(tail.decoder.carry).decode("ascii"),
+        "lineno": tail.decoder.lineno,
         "stats": dataclasses.asdict(tail.merger.stats),
         "pending": [{"pid": token.pid, "start_us": token.start_us,
                      "body": token.body}
@@ -135,8 +135,8 @@ def _tail_from_state(state: dict, directory: Path,
                          rid=int(state["rid"]))
     tail = FileTail(path, name, strict=strict)
     tail.offset = int(state["offset"])
-    tail.carry = base64.b64decode(state["carry"])
-    tail.lineno = int(state["lineno"])
+    tail.decoder.carry = base64.b64decode(state["carry"])
+    tail.decoder.lineno = int(state["lineno"])
     tail.merger.restore(
         pending=[Token(pid=int(t["pid"]), start_us=int(t["start_us"]),
                        kind=RecordKind.UNFINISHED, body=t["body"])

@@ -16,8 +16,9 @@ batch parsing of the final file:
   syscall whose two halves land in different polls merges exactly as
   Sec. III prescribes.
 
-Byte-level decoding reuses the batch reader's diagnosis
-(:func:`~repro.ingest.streaming.decode_trace_line`): undecodable bytes
+Both go through the batch reader's line decoder
+(:class:`~repro.ingest.streaming.LineDecoder`), which owns the line
+carry, the line number and byte-level diagnosis: undecodable bytes
 raise under ``strict=True`` and are counted as U+FFFD replacements
 otherwise. Line numbers are cumulative across polls, so parse errors
 point at the same line batch parsing would name.
@@ -29,15 +30,11 @@ import os
 from pathlib import Path
 
 from repro._util.errors import TraceParseError
-from repro.ingest.streaming import (
-    _CHUNK_BYTES,
-    _NEWLINE_BYTES_RE,
-    decode_trace_line,
-)
+from repro.ingest.streaming import _CHUNK_BYTES, LineDecoder
 from repro.strace.naming import TraceFileName
 from repro.strace.parser import ParsedRecord
 from repro.strace.resume import IncrementalMerger
-from repro.strace.tokenizer import Token, tokenize_line
+from repro.strace.tokenizer import Token
 from repro.telemetry.spans import NULL_TELEMETRY
 
 
@@ -50,15 +47,19 @@ class FileTail:
         The file and its (cid, host, rid) case identity.
     offset:
         Bytes consumed so far (everything before it is parsed or held
-        in :attr:`carry`). Checkpoints persist this.
+        in the decoder's carry). Checkpoints persist this.
+    decoder:
+        The line decoder; checkpoints persist its
+        :attr:`~repro.ingest.streaming.LineDecoder.carry` and
+        :attr:`~repro.ingest.streaming.LineDecoder.lineno`.
     merger:
         The carry-over merge state; its :attr:`~IncrementalMerger.stats`
         accumulate exactly the per-file diagnostics batch reading
         reports (including ``decode_replacements``).
     """
 
-    __slots__ = ("path", "name", "strict", "default_pid", "offset",
-                 "carry", "lineno", "merger", "finished", "telemetry")
+    __slots__ = ("path", "name", "offset", "decoder", "merger",
+                 "finished", "telemetry")
 
     def __init__(self, path: str | os.PathLike[str],
                  name: TraceFileName | None = None, *,
@@ -68,11 +69,9 @@ class FileTail:
 
         self.path = Path(path)
         self.name = name or parse_trace_filename(self.path.name)
-        self.strict = strict
-        self.default_pid = default_pid
         self.offset = 0
-        self.carry = b""
-        self.lineno = 0
+        self.decoder = LineDecoder(str(self.path), strict=strict,
+                                   default_pid=default_pid)
         self.merger = IncrementalMerger(path=str(self.path), strict=strict)
         self.finished = False
         self.telemetry = telemetry if telemetry is not None \
@@ -127,7 +126,7 @@ class FileTail:
                 remaining -= len(chunk)
                 self.offset += len(chunk)
                 with telemetry.phase("decode"):
-                    tokens = self._split_lines(chunk)
+                    tokens = self._decode(self.decoder.feed(chunk))
                 with telemetry.phase("seal"):
                     records.extend(self.merger.feed(tokens))
         return records
@@ -138,53 +137,22 @@ class FileTail:
         if self.finished:
             return []
         self.finished = True
-        tokens: list[Token] = []
-        carry = self.carry
-        self.carry = b""
-        if carry.endswith(b"\r"):  # lone '\r' at EOF terminates the line
-            carry = carry[:-1]
-        if carry:
-            with self.telemetry.phase("decode"):
-                token = self._tokenize(carry)
-            if token is not None:
-                tokens.append(token)
+        with self.telemetry.phase("decode"):
+            tokens = self._decode(self.decoder.finish())
         with self.telemetry.phase("seal"):
             records = self.merger.feed(tokens) if tokens else []
             return records + self.merger.finish()
 
-    # -- internals ---------------------------------------------------------
-
-    def _split_lines(self, data: bytes) -> list[Token]:
-        """Split appended bytes into tokens, updating the line carry.
-
-        Mirrors the universal-newline splitting of the batch reader's
-        ``_iter_raw_lines``: a trailing ``\\r`` is held back because the
-        matching ``\\n`` may start the next poll's bytes.
-        """
-        data = self.carry + data
-        if data.endswith(b"\r"):
-            data, hold = data[:-1], b"\r"
-        else:
-            hold = b""
-        pieces = _NEWLINE_BYTES_RE.split(data)
-        self.carry = pieces.pop() + hold
-        tokens: list[Token] = []
-        for raw in pieces:
-            token = self._tokenize(raw)
-            if token is not None:
-                tokens.append(token)
+    def _decode(self, tokens) -> list[Token]:
+        """Run the decoder over one batch of lines, booking its
+        replacement count in the merge stats (where batch reading
+        reports it too)."""
+        decoder = self.decoder
+        decoder.decode_replacements = 0
+        tokens = list(tokens)
+        self.merger.stats.decode_replacements += \
+            decoder.decode_replacements
         return tokens
-
-    def _tokenize(self, raw: bytes) -> Token | None:
-        self.lineno += 1
-        text, replaced = decode_trace_line(
-            raw, strict=self.strict, path=str(self.path),
-            lineno=self.lineno)
-        self.merger.stats.decode_replacements += replaced
-        if not text.strip():
-            return None
-        return tokenize_line(text, path=str(self.path), lineno=self.lineno,
-                             default_pid=self.default_pid)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"FileTail({str(self.path)!r}, offset={self.offset}, "

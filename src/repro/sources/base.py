@@ -221,20 +221,19 @@ def case_columns_from_text(name, text: str, *, strict: bool = True,
     """Parse in-memory strace text into one case's columns.
 
     The exact pipeline of :func:`~repro.strace.reader.read_trace_file`
-    minus the file and byte-decode steps: tokenize each line, merge
-    unfinished/resumed pairs, columnarize. Lets synthetic producers
-    (the simulator) feed the analysis without a temp directory while
-    staying byte-identical to the write-files-then-ingest path.
+    minus the file: the text's UTF-8 bytes go through the same line
+    decoder, then unfinished/resumed pairs merge and the records
+    columnarize. Lets synthetic producers (the simulator) feed the
+    analysis without a temp directory while staying byte-identical to
+    the write-files-then-ingest path.
     """
     from repro.ingest.parallel import case_to_columns
+    from repro.ingest.streaming import LineDecoder
     from repro.strace.reader import TraceCase
     from repro.strace.resume import merge_unfinished
-    from repro.strace.tokenizer import tokenize_line
 
-    tokens = (
-        tokenize_line(line, path=path_label, lineno=lineno, default_pid=0)
-        for lineno, line in enumerate(text.splitlines(), start=1)
-        if line.strip())
+    decoder = LineDecoder(path_label, strict=strict)
+    tokens = [*decoder.feed(text.encode("utf-8")), *decoder.finish()]
     records, stats = merge_unfinished(tokens, path=path_label,
                                       strict=strict)
     return case_to_columns(

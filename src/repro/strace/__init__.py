@@ -15,7 +15,9 @@ Layering (bottom → top):
   timestamp and body, and classifies the record kind (syscall,
   unfinished, resumed, signal, exit).
 - :mod:`repro.strace.parser` — parses a syscall body into name, argument
-  list, file path, return value and duration, quote/paren-aware.
+  list, file path, return value and duration, quote/paren-aware; its
+  one-regex fast path parses whole complete lines for the line decoder
+  (:class:`repro.ingest.streaming.LineDecoder`).
 - :mod:`repro.strace.resume` — merges ``<unfinished ...>`` with
   ``<... resumed>`` partners (matched by pid, per the paper) and drops
   ``ERESTARTSYS``-interrupted calls.

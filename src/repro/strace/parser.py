@@ -16,12 +16,29 @@ a :class:`ParsedRecord` carrying the event attributes of Sec. III:
   (the last integer argument of transfer calls, which the paper notes
   "may differ from the actual number of bytes transferred").
 
-The argument scanner is quote- and bracket-aware: strace argument lists
-contain C strings with escapes (``"total 40\\n"``, possibly abbreviated
-as ``"total 4"...``), struct/array literals (``{st_mode=...}``,
-``[{iov_base=...}]``) and the ``fd</path>`` annotations themselves, so a
-naive ``split(',')`` is wrong. A character scan tracking quote state and
-``([{<`` nesting finds top-level commas and the closing parenthesis.
+strace argument lists contain C strings with escapes
+(``"total 40\\n"``, possibly abbreviated as ``"total 4"...``),
+struct/array literals (``{st_mode=...}``, ``[{iov_base=...}]``) and the
+``fd</path>`` annotations themselves, so a naive ``split(',')`` is wrong
+in general. Splitting works in two steps:
+
+1. **The shape test.** One precompiled regex (``_ARGS``) recognises the
+   common argument list: brackets only as depth-1 ``<...>``
+   annotations, quotes only around strings, and neither holding a
+   comma, quote, bracket or (in a string) a backslash. On such a list a
+   plain ``split(",")`` finds exactly the commas the scanner would, so
+   :func:`split_args` splits it directly. The line decoder
+   (:class:`repro.ingest.streaming.LineDecoder`) goes one step further:
+   :func:`parse_complete_line` runs one ``fullmatch`` of that shape,
+   plus the header and the return clause, over a whole complete syscall
+   line and builds the record without the tokenizer.
+2. **The reference scanner.** Every other list goes through a character
+   scan that tracks quote state and ``([{<`` nesting to find the
+   top-level commas and the closing parenthesis. It is the only
+   implementation of the general argument grammar and the contract:
+   the shape test accepts only input on which both agree, and whatever
+   it refuses — errors included — is decided here (pinned by a
+   differential hypothesis property in the test suite).
 """
 
 from __future__ import annotations
@@ -31,13 +48,49 @@ from dataclasses import dataclass
 
 from repro._util.errors import TraceParseError
 from repro._util.timefmt import parse_duration
-from repro.strace.syscalls import PathSource, spec_for
-from repro.strace.tokenizer import RecordKind, Token, tokenize_line
+from repro.strace.syscalls import PathSource, SyscallSpec, spec_for
+from repro.strace.tokenizer import (
+    _SYSCALL_START_RE,
+    RecordKind,
+    Token,
+    tokenize_line,
+)
 
 _OPENERS = {"(": ")", "[": "]", "{": "}", "<": ">"}
 _CLOSERS = {v: k for k, v in _OPENERS.items()}
 
 _FD_ANNOT_RE = re.compile(r"^(\d+)<(.*)>$", re.DOTALL)
+#: A run of octal escapes (``\303\251``) or one simple C escape.
+_ESCAPE_RE = re.compile(r'((?:\\[0-7]{1,3})+)|\\([\\"nt])')
+_SIMPLE_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
+
+#: Text holding none of the characters the scanner treats specially.
+_PLAIN = r'[^"()\[\]{}<>]*'
+#: The inside of a shape-test string or annotation.
+_INNER = r'[^"\\,()\[\]{}<>]*'
+#: An argument list (up to its closing parenthesis) that a plain
+#: ``split(",")`` splits exactly as :func:`split_args`' scanner does.
+#: Unrolled (plain, then special + plain repeated) so a failing match
+#: stays linear.
+_ARGS = (_PLAIN + r'(?:(?:"' + _INNER + r'"|<' + _INNER + r'>)'
+         + _PLAIN + r')*')
+_ARGS_RE = re.compile(_ARGS + r"\)")
+#: A whole complete syscall line of the simple shape: the header of
+#: :func:`~repro.strace.tokenizer.tokenize_line` (``-tt`` stamps only),
+#: a call over an ``_ARGS`` list, and the return clause of ``_RET_RE``
+#: with plain spaces and ASCII digits. Anything else is left to the
+#: reference path.
+_LINE_RE = re.compile(
+    r"(?:(?P<pid>[0-9]+) +)?"
+    r"(?P<h>[0-9]{2}):(?P<m>[0-9]{2}):(?P<s>[0-9]{2})\.(?P<us>[0-9]{6}) +"
+    r"(?P<body>(?P<call>[a-zA-Z_][a-zA-Z0-9_]*)\((?P<args>" + _ARGS
+    + r")\) *= +(?P<val>-?[0-9]+|\?|0x[0-9a-fA-F]+)"
+    r"(?:<(?P<retpath>[^>]*)>)?"
+    r"(?: +(?P<errno>[A-Z][A-Z0-9_]+) +\([^)]*\))?"
+    r"(?: +\([^)]*\))?"
+    r" *(?:<(?P<dur_s>[0-9]+)\.(?P<dur_us>[0-9]{6})>)? *)"
+)
+_UNFINISHED = "<unfinished ...>"
 _RET_RE = re.compile(
     r"""^=\s+
         (?P<val>-?\d+|\?|0x[0-9a-fA-F]+)          # numeric / ? / hex
@@ -84,8 +137,14 @@ def split_args(text: str, *, path: str | None = None,
 
     Returns ``(args, end_index)`` where ``end_index`` points at the
     closing ``)`` in ``text``. Quote-aware (double quotes, backslash
-    escapes) and bracket-aware (``()[]{}<>``).
+    escapes) and bracket-aware (``()[]{}<>``). A list of the simple
+    shape (see the module docstring) is split with ``str.split``;
+    everything else goes through the character scan.
     """
+    simple = _ARGS_RE.match(text)
+    if simple is not None:
+        end = simple.end() - 1
+        return _split_simple(text[:end]), end
     args: list[str] = []
     depth = 0
     in_string = False
@@ -134,6 +193,23 @@ def split_args(text: str, *, path: str | None = None,
         path=path, lineno=lineno)
 
 
+def _split_simple(text: str) -> list[str]:
+    """Split a shape-tested argument list; like the scanner, an empty
+    last argument (``f()``, ``f(1, )``) is dropped."""
+    args = [arg.strip() for arg in text.split(",")]
+    if not args[-1]:
+        args.pop()
+    return args
+
+
+def _retval(raw: str) -> int | None:
+    if raw == "?":
+        return None
+    if raw.startswith("0x"):
+        return int(raw, 16)
+    return int(raw)
+
+
 def _parse_retval(text: str) -> tuple[int | None, str | None, str | None,
                                       int | None]:
     """Parse the ``= RET ... <dur>`` tail.
@@ -143,13 +219,7 @@ def _parse_retval(text: str) -> tuple[int | None, str | None, str | None,
     match = _RET_RE.match(text.strip())
     if match is None:
         raise TraceParseError(f"unparseable return clause: {text[:80]!r}")
-    raw = match.group("val")
-    if raw == "?":
-        retval: int | None = None
-    elif raw.startswith("0x"):
-        retval = int(raw, 16)
-    else:
-        retval = int(raw)
+    retval = _retval(match.group("val"))
     ret_path = match.group("retpath")
     errno = match.group("errno")
     dur_text = match.group("dur")
@@ -157,11 +227,26 @@ def _parse_retval(text: str) -> tuple[int | None, str | None, str | None,
     return retval, ret_path, errno, dur_us
 
 
+def _unescape(match: re.Match) -> str:
+    run = match.group(1)
+    if run is None:
+        return _SIMPLE_ESCAPES[match.group(2)]
+    try:
+        return bytes(int(code, 8) for code in run.split("\\")[1:]) \
+            .decode("utf-8")
+    except (ValueError, UnicodeDecodeError):  # > 0o377, or not UTF-8
+        return run
+
+
 def _strip_quotes(arg: str) -> str | None:
     """Unquote a C-string argument; None if it is not a quoted string.
 
     Handles strace's abbreviation suffix (``"abc"...``). Escapes are
-    resolved for the common cases (\\n, \\t, \\", \\\\ and octal).
+    resolved for the common cases: ``\\n``, ``\\t``, ``\\"``,
+    ``\\\\`` and runs of octal escapes, which strace writes for the
+    bytes of non-ASCII text and decode as UTF-8 (``"caf\\303\\251"``
+    → ``café``). An octal run that is not valid UTF-8 keeps its
+    escaped text.
     """
     if not arg.startswith('"'):
         return None
@@ -169,19 +254,14 @@ def _strip_quotes(arg: str) -> str | None:
     if end == 0:
         return None
     inner = arg[1:end]
-    return (
-        inner.replace("\\\\", "\x00")
-        .replace('\\"', '"')
-        .replace("\\n", "\n")
-        .replace("\\t", "\t")
-        .replace("\x00", "\\")
-    )
+    if "\\" not in inner:
+        return inner
+    return _ESCAPE_RE.sub(_unescape, inner)
 
 
-def _extract_fp(call: str, args: tuple[str, ...],
+def _extract_fp(spec: SyscallSpec, args: tuple[str, ...],
                 ret_path: str | None) -> str | None:
     """Recover the ``fp`` attribute per the syscall's :class:`PathSource`."""
-    spec = spec_for(call)
     source = spec.path_source
     if source is PathSource.NONE:
         return None
@@ -207,29 +287,43 @@ def _extract_fp(call: str, args: tuple[str, ...],
     return None
 
 
-def _extract_requested(call: str, args: tuple[str, ...]) -> int | None:
+def _extract_requested(spec: SyscallSpec,
+                       args: tuple[str, ...]) -> int | None:
     """Requested byte count from the count argument of a transfer call
     (``read(fd, buf, 832)`` → 832; ``pread64(fd, buf, 832, off)`` →
     832, not the offset). Vectored variants carry no flat count."""
-    spec = spec_for(call)
-    if spec.requested_arg_index is None:
+    index = spec.requested_arg_index
+    if index is None or index >= len(args):
         return None
-    if spec.requested_arg_index < len(args):
-        arg = args[spec.requested_arg_index]
-        if re.fullmatch(r"\d+", arg):
-            return int(arg)
-    return None
+    arg = args[index]
+    # isdecimal() accepts exactly what ``\d+`` matches (Unicode Nd).
+    return int(arg) if arg.isdecimal() else None
+
+
+def _build_record(pid: int, start_us: int, call: str,
+                  args: tuple[str, ...], retval: int | None,
+                  ret_path: str | None, errno: str | None,
+                  dur_us: int | None) -> ParsedRecord:
+    """The record both parse routes produce from the split fields."""
+    spec = spec_for(call)
+    size = None
+    if spec.returns_size and retval is not None and retval >= 0 \
+            and errno is None:
+        size = retval
+    return ParsedRecord(pid, start_us, call,
+                        _extract_fp(spec, args, ret_path), size, dur_us,
+                        retval, errno, _extract_requested(spec, args),
+                        args)
 
 
 def parse_body(pid: int, start_us: int, body: str, *,
                path: str | None = None,
                lineno: int | None = None) -> ParsedRecord:
     """Parse a complete syscall body (``name(args) = ret <dur>``)."""
-    match = re.match(r"^([a-zA-Z_][a-zA-Z0-9_]*)\(", body)
+    match = _SYSCALL_START_RE.match(body)
     if match is None:
         raise TraceParseError(
             f"not a syscall body: {body[:80]!r}", path=path, lineno=lineno)
-    call = match.group(1)
     rest = body[match.end():]
     arg_list, close_idx = split_args(rest, path=path, lineno=lineno)
     tail = rest[close_idx + 1:].strip()
@@ -238,24 +332,39 @@ def parse_body(pid: int, start_us: int, body: str, *,
     except TraceParseError as exc:
         raise TraceParseError(
             str(exc), path=path, lineno=lineno, line=body) from exc
-    args = tuple(arg_list)
-    spec = spec_for(call)
-    size = None
-    if spec.returns_size and retval is not None and retval >= 0 \
-            and errno is None:
-        size = retval
-    return ParsedRecord(
-        pid=pid,
-        start_us=start_us,
-        call=call,
-        fp=_extract_fp(call, args, ret_path),
-        size=size,
-        dur_us=dur_us,
-        retval=retval,
-        errno=errno,
-        requested=_extract_requested(call, args),
-        args=args,
-    )
+    return _build_record(pid, start_us, match.group(0)[:-1],
+                         tuple(arg_list), retval, ret_path, errno, dur_us)
+
+
+def parse_complete_line(line: str, default_pid: int = 0,
+                        lineno: int | None = None) -> Token | None:
+    """The line decoder's fast path for one complete syscall line.
+
+    One ``fullmatch`` of the simple line shape (see the module
+    docstring) yields the SYSCALL :class:`Token`, with its
+    :class:`ParsedRecord` attached, that :func:`tokenize_line` plus
+    :func:`parse_body` would produce. Returns ``None`` for any other
+    line — unfinished, resumed, signal and exit records, ``-ttt``
+    stamps, nested or escaped arguments, an out-of-range clock — which
+    the reference path then decides, errors included.
+    """
+    match = _LINE_RE.fullmatch(line)
+    if match is None:
+        return None
+    (pid, hours, minutes, seconds, micros, body, call, arg_text, val,
+     ret_path, errno, dur_s, dur_us) = match.groups()
+    hours, minutes, seconds = int(hours), int(minutes), int(seconds)
+    if hours > 23 or minutes > 59 or seconds > 60 \
+            or body.endswith(_UNFINISHED):
+        return None
+    pid = int(pid) if pid is not None else default_pid
+    start_us = ((hours * 3600 + minutes * 60 + seconds) * 1_000_000
+                + int(micros))
+    record = _build_record(
+        pid, start_us, call, tuple(_split_simple(arg_text)), _retval(val),
+        ret_path, errno,
+        int(dur_s) * 1_000_000 + int(dur_us) if dur_s is not None else None)
+    return Token(pid, start_us, RecordKind.SYSCALL, body, lineno, record)
 
 
 def parse_line(line: str, *, path: str | None = None,

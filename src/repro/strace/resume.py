@@ -203,7 +203,7 @@ class IncrementalMerger:
             if token.pid in self._pending:
                 raise TraceParseError(
                     f"pid {token.pid} has two in-flight unfinished calls",
-                    path=self.path)
+                    path=self.path, lineno=token.lineno)
             self._pending[token.pid] = (
                 token, unfinished_call_name(token.body))
             return
@@ -214,26 +214,30 @@ class IncrementalMerger:
                 if self.strict:
                     raise TraceParseError(
                         f"resumed {call!r} for pid {token.pid} without a "
-                        f"matching unfinished record", path=self.path)
+                        f"matching unfinished record", path=self.path,
+                        lineno=token.lineno)
                 stats.orphan_resumed += 1
                 return
             head_token, head_call = entry
             if head_call != call:
                 raise TraceParseError(
                     f"pid {token.pid}: unfinished {head_call!r} resumed as "
-                    f"{call!r}", path=self.path)
+                    f"{call!r}", path=self.path, lineno=token.lineno)
             body = _join_bodies(head_token.body, token.body, call)
             record = parse_body(head_token.pid, head_token.start_us, body,
-                                path=self.path)
+                                path=self.path, lineno=token.lineno)
             if _is_restart(record):
                 stats.dropped_restarts += 1
             else:
                 stats.merged_pairs += 1
                 self._complete(record)
             return
-        # Plain complete syscall record.
-        record = parse_body(token.pid, token.start_us, token.body,
-                            path=self.path)
+        # Plain complete syscall record; the line decoder's fast path
+        # has already parsed most of them.
+        record = token.record
+        if record is None:
+            record = parse_body(token.pid, token.start_us, token.body,
+                                path=self.path, lineno=token.lineno)
         if _is_restart(record):
             stats.dropped_restarts += 1
         else:

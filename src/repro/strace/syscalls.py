@@ -156,12 +156,10 @@ _FALLBACK = SyscallSpec(name="?", family=SyscallFamily.OTHER,
 
 
 def spec_for(call: str) -> SyscallSpec:
-    """Spec for a syscall name; unknown names get a generic OTHER spec."""
-    spec = SYSCALL_CATALOG.get(call)
-    if spec is not None:
-        return spec
-    return SyscallSpec(name=call, family=SyscallFamily.OTHER,
-                       path_source=PathSource.FD_ARG)
+    """Spec for a syscall name; unknown names share one generic OTHER
+    spec (named ``"?"``: path from an ``fd<path>`` first argument, no
+    transfer size)."""
+    return SYSCALL_CATALOG.get(call, _FALLBACK)
 
 
 def is_transfer_call(call: str) -> bool:

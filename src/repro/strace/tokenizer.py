@@ -28,10 +28,14 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro._util.errors import TraceParseError
 from repro._util.timefmt import parse_wallclock
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.strace.parser import ParsedRecord
 
 
 class RecordKind(enum.Enum):
@@ -59,12 +63,23 @@ class Token:
     body:
         Everything after the timestamp, with the classification markers
         intact (the parser strips them).
+    lineno:
+        1-based line number within the trace file, when known; the
+        merger names it in parse errors. Not part of equality.
+    record:
+        The already parsed record of a complete syscall line, set only
+        by the line decoder's fast path
+        (:func:`repro.strace.parser.parse_complete_line`) so the merger
+        need not parse the body again. Not part of equality.
     """
 
     pid: int
     start_us: int
     kind: RecordKind
     body: str
+    lineno: int | None = field(default=None, compare=False, repr=False)
+    record: ParsedRecord | None = field(default=None, compare=False,
+                                        repr=False)
 
 
 #: ``-tt`` wall clock (HH:MM:SS.ffffff) or ``-ttt`` epoch seconds
@@ -75,7 +90,7 @@ _HEADER_RE = re.compile(
     r"(?P<ts>\d{2}:\d{2}:\d{2}\.\d{6}|\d{9,12}\.\d{6})\s+"
     r"(?P<body>.*)$"
 )
-_RESUMED_RE = re.compile(r"^<\.\.\.\s+\S+\s+resumed>")
+_RESUMED_RE = re.compile(r"^<\.\.\.\s+(\S+)\s+resumed>")
 _SYSCALL_START_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*\(")
 
 
@@ -138,7 +153,8 @@ def tokenize_line(
         raise TraceParseError(
             f"unrecognized record body: {body[:80]!r}",
             path=path, lineno=lineno, line=line)
-    return Token(pid=pid, start_us=start_us, kind=kind, body=body)
+    return Token(pid=pid, start_us=start_us, kind=kind, body=body,
+                 lineno=lineno)
 
 
 def resumed_call_name(body: str) -> str:
@@ -147,7 +163,7 @@ def resumed_call_name(body: str) -> str:
     >>> resumed_call_name("<... read resumed> ..., 405) = 404 <0.000223>")
     'read'
     """
-    match = re.match(r"^<\.\.\.\s+(\S+)\s+resumed>", body)
+    match = _RESUMED_RE.match(body)
     if match is None:
         raise TraceParseError(f"not a resumed record: {body[:80]!r}")
     return match.group(1)

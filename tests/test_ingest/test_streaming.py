@@ -81,13 +81,14 @@ class TestTokenStream:
     def test_raw_line_splitter_chunk_boundaries(self, chunk_size):
         """\\r\\n spanning a chunk boundary must not produce a phantom
         blank line; every terminator style round-trips."""
-        import io
-
-        from repro.ingest.streaming import _iter_raw_lines
+        from repro.ingest.streaming import LineDecoder
 
         data = b"one\r\ntwo\rthree\nfour\r\n\r\nfive"
-        lines = list(_iter_raw_lines(io.BytesIO(data),
-                                     chunk_size=chunk_size))
+        decoder = LineDecoder()
+        lines = []
+        for start in range(0, len(data), chunk_size):
+            lines += decoder.split(data[start:start + chunk_size])
+        lines += decoder.flush()
         assert lines == [b"one", b"two", b"three", b"four", b"",
                          b"five"]
 

@@ -141,6 +141,18 @@ class TestDecoding:
         assert record.call == "read"
         assert tail.merger.stats.decode_replacements == 1
 
+    def test_parse_error_names_the_line(self, tmp_path):
+        path, tail = _tail(tmp_path, name="a_node01_1.st")
+        path.write_bytes(LINE_A)
+        tail.poll()
+        with open(path, "ab") as h:
+            h.write(b"100  10:00:00.000002 read(3</a>, ..., 832) = banana "
+                    b"<0.000016>\n")
+        with pytest.raises(TraceParseError) as excinfo:
+            tail.poll()
+        assert "unparseable return clause" in str(excinfo.value)
+        assert str(excinfo.value).endswith("a_node01_1.st:2]")
+
     def test_lineno_cumulative_across_polls(self, tmp_path):
         path, tail = _tail(tmp_path)
         path.write_bytes(LINE_A)

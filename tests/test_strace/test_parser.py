@@ -160,6 +160,23 @@ class TestOtherCalls:
             "st_size=411}) = 0 <0.000008>")
         assert record.fp == "/etc/hosts"
 
+    def test_octal_escapes_decode_as_utf8(self):
+        record = parse(
+            '9  09:00:00.000000 stat("/tmp/caf\\303\\251", '
+            "{st_mode=S_IFREG|0644, st_size=0}) = 0 <0.000018>")
+        assert record.fp == "/tmp/caf\u00e9"
+
+    def test_octal_run_not_utf8_keeps_escaped_text(self):
+        record = parse(
+            '9  09:00:00.000000 stat("/tmp/\\377x\\n", {st_size=0}) = 0 '
+            "<0.000018>")
+        assert record.fp == "/tmp/\\377x\n"
+
+    def test_escaped_backslash_before_digits_is_not_octal(self):
+        record = parse(
+            '9  09:00:00.000000 unlink("/a\\\\303") = 0 <0.000001>')
+        assert record.fp == "/a\\303"
+
     def test_mmap_hex_return(self):
         record = parse(
             "9  09:00:00.000000 mmap(NULL, 8192, PROT_READ, MAP_PRIVATE, "

@@ -3,6 +3,7 @@
 import pytest
 
 from repro._util.errors import TraceParseError
+from repro.core.eventlog import EventLog
 from repro.strace.naming import TraceFileName
 from repro.strace.reader import read_trace_dir, read_trace_file
 
@@ -82,3 +83,39 @@ class TestReadDir:
             "1  00:00:00.000001 close(3</x>) = 0 <0.000001>\n")
         cases = read_trace_dir(tmp_path)
         assert len(cases) == 1
+
+
+class TestParseErrorLocation:
+    """A parse error names the file *and* the line it stems from."""
+
+    GOOD = "1  00:00:00.000001 close(3</x>) = 0 <0.000001>\n"
+
+    def _error(self, tmp_path, text: str) -> TraceParseError:
+        directory = tmp_path / "dir"
+        directory.mkdir()
+        (directory / "a_node01_1.st").write_text(text)
+        with pytest.raises(TraceParseError) as excinfo:
+            EventLog.from_source(str(directory), workers=1)
+        return excinfo.value
+
+    def test_complete_line(self, tmp_path):
+        error = self._error(tmp_path, self.GOOD + (
+            "1  00:00:00.000002 read(3</a>, ..., 832) = banana "
+            "<0.000016>\n"))
+        assert "unparseable return clause" in str(error)
+        assert error.lineno == 2
+        assert str(error).endswith("a_node01_1.st:2]")
+
+    def test_merged_pair_names_the_resumed_line(self, tmp_path):
+        error = self._error(tmp_path, (
+            "1  00:00:00.000001 read(3</a>, <unfinished ...>\n"
+            + self.GOOD.replace("1  ", "2  ")
+            + "1  00:00:00.000900 <... read resumed> ..., 5) = banana\n"))
+        assert str(error).endswith("a_node01_1.st:3]")
+
+    def test_orphan_resumed_names_its_line(self, tmp_path):
+        error = self._error(tmp_path, self.GOOD + (
+            "1  00:00:00.000900 <... read resumed> ..., 5) = 5 "
+            "<0.000899>\n"))
+        assert "without a matching" in str(error)
+        assert str(error).endswith("a_node01_1.st:2]")
