@@ -16,6 +16,7 @@ hosts, and neither do we (Sec. IV-B, max-concurrency caveat).
 
 from __future__ import annotations
 
+import functools
 import re
 
 #: Number of microseconds in one day; wall-clocks are taken modulo this.
@@ -39,10 +40,36 @@ def parse_wallclock(text: str) -> int:
     match = _WALLCLOCK_RE.match(text)
     if match is None:
         raise ValueError(f"unparseable wall clock: {text!r}")
-    hours, minutes, seconds, micros = (int(g) for g in match.groups())
-    if hours > 23 or minutes > 59 or seconds > 60:  # 60 allows leap second
+    micros = wallclock_us(text[:8], text[9:])
+    if micros is None:
         raise ValueError(f"out-of-range wall clock: {text!r}")
-    return ((hours * 3600 + minutes * 60 + seconds) * 1_000_000) + micros
+    return micros
+
+
+def wallclock_us(hms: str, micros: str) -> int | None:
+    """µs since midnight from the ``HH:MM:SS`` and ``ffffff`` digit
+    fields of a ``-tt`` stamp, or ``None`` when a field is out of range
+    (hours up to 23, second 60 allowed as a leap second).
+
+    The one stamp → ``start_us`` conversion of the package: the
+    tokenizer (via :func:`parse_wallclock`) and both fast paths of the
+    line decoder call it.
+
+    >>> wallclock_us("08:55:54", "153994")
+    32154153994
+    """
+    base = _second_of_day_us(hms)
+    return None if base is None else base + int(micros)
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _second_of_day_us(hms: str) -> int | None:
+    """The ``HH:MM:SS`` part of :func:`wallclock_us`, cached: the lines
+    of a trace share few distinct seconds."""
+    hours, minutes, seconds = int(hms[:2]), int(hms[3:5]), int(hms[6:])
+    if hours > 23 or minutes > 59 or seconds > 60:
+        return None
+    return (hours * 3600 + minutes * 60 + seconds) * 1_000_000
 
 
 def format_wallclock(micros_since_midnight: int) -> str:

@@ -53,6 +53,32 @@ _CODE_COLUMNS = frozenset({"case", "cid", "host", "call", "fp", "activity"})
 _INT_COLUMNS = frozenset({"rid", "pid", "start", "dur", "size"})
 
 
+def localize_codes(codes: np.ndarray, decode: Callable[[int], str],
+                   ) -> tuple[np.ndarray, list[str]]:
+    """Re-encode global pool codes as local first-occurrence codes.
+
+    Returns ``(local_codes, strings)`` in the convention of
+    :class:`~repro.ingest.parallel.CaseColumns`: code ``i`` means
+    ``strings[i]``, strings ordered by first occurrence in ``codes``,
+    and negative input codes (MISSING) pass through unchanged.
+    """
+    local = np.full(len(codes), MISSING, dtype=np.int32)
+    strings: list[str] = []
+    present = codes != MISSING
+    if not present.any():
+        return local, strings
+    values = codes[present].astype(np.int64)
+    uniq, first, inverse = np.unique(values, return_index=True,
+                                     return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty(len(uniq), dtype=np.int32)
+    rank[order] = np.arange(len(uniq), dtype=np.int32)
+    local[present] = rank[inverse]
+    strings = [decode(int(uniq[i])) for i in order]
+    return local, strings
+
+
+
 @dataclass
 class FramePools:
     """The shared dictionaries backing string-valued columns."""

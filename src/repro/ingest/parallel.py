@@ -306,9 +306,13 @@ def case_to_columns(case: "TraceCase") -> CaseColumns:
 
 def _parse_one_columns(
         task: "tuple[Path, TraceFileName, bool]") -> CaseColumns:
-    """Worker: parse one trace file and columnarize it in the child,
-    so only arrays and distinct strings cross the process boundary."""
-    return case_to_columns(_parse_one(task))
+    """Worker: parse one trace file straight into columns in the
+    child (:func:`~repro.ingest.streaming.read_case_columns`), so only
+    arrays and distinct strings cross the process boundary."""
+    from repro.ingest.streaming import read_case_columns
+
+    path, name, strict = task
+    return read_case_columns(path, name=name, strict=strict)
 
 
 def frame_from_case_columns(column_cases: "list[CaseColumns]",

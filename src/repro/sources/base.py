@@ -36,11 +36,11 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, Iterator
+from typing import TYPE_CHECKING, ClassVar, Iterable, Iterator
 
 import numpy as np
 
-from repro.core.frame import MISSING
+from repro.core.frame import localize_codes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.eventlog import EventLog
@@ -134,31 +134,6 @@ def combine_merge_stats(
 # -- shared case-assembly helpers ---------------------------------------------
 
 
-def _localize_codes(codes: np.ndarray, decode: Callable[[int], str],
-                    ) -> tuple[np.ndarray, list[str]]:
-    """Re-encode global pool codes as local first-occurrence codes.
-
-    Returns ``(local_codes, strings)`` in the convention of
-    :class:`~repro.ingest.parallel.CaseColumns`: code ``i`` means
-    ``strings[i]``, strings ordered by first occurrence in ``codes``,
-    and negative input codes (MISSING) pass through unchanged.
-    """
-    local = np.full(len(codes), MISSING, dtype=np.int32)
-    strings: list[str] = []
-    present = codes != MISSING
-    if not present.any():
-        return local, strings
-    values = codes[present].astype(np.int64)
-    uniq, first, inverse = np.unique(values, return_index=True,
-                                     return_inverse=True)
-    order = np.argsort(first, kind="stable")
-    rank = np.empty(len(uniq), dtype=np.int32)
-    rank[order] = np.arange(len(uniq), dtype=np.int32)
-    local[present] = rank[inverse]
-    strings = [decode(int(uniq[i])) for i in order]
-    return local, strings
-
-
 def iter_cases_of_log(event_log: "EventLog") -> "Iterator[CaseColumns]":
     """Slice an in-memory event-log back into per-case columns.
 
@@ -201,9 +176,9 @@ def iter_cases_of_log(event_log: "EventLog") -> "Iterator[CaseColumns]":
             cid=pools.cids.decode(int(case_frame.column("cid")[0])),
             host=pools.hosts.decode(int(case_frame.column("host")[0])),
             rid=int(case_frame.column("rid")[0]))
-        call, calls = _localize_codes(case_frame.column("call"),
+        call, calls = localize_codes(case_frame.column("call"),
                                       pools.calls.decode)
-        fp, paths = _localize_codes(case_frame.column("fp"),
+        fp, paths = localize_codes(case_frame.column("fp"),
                                     pools.paths.decode)
         yield CaseColumns(
             name=name,
@@ -220,21 +195,14 @@ def case_columns_from_text(name, text: str, *, strict: bool = True,
                            ) -> "CaseColumns":
     """Parse in-memory strace text into one case's columns.
 
-    The exact pipeline of :func:`~repro.strace.reader.read_trace_file`
-    minus the file: the text's UTF-8 bytes go through the same line
-    decoder, then unfinished/resumed pairs merge and the records
-    columnarize. Lets synthetic producers (the simulator) feed the
+    The exact pipeline of :func:`~repro.ingest.streaming.read_case_columns`
+    minus the file: the text's UTF-8 bytes go through the same column
+    builder. Lets synthetic producers (the simulator) feed the
     analysis without a temp directory while staying byte-identical to
     the write-files-then-ingest path.
     """
-    from repro.ingest.parallel import case_to_columns
-    from repro.ingest.streaming import LineDecoder
-    from repro.strace.reader import TraceCase
-    from repro.strace.resume import merge_unfinished
+    from repro.ingest.streaming import CaseColumnBuilder
 
-    decoder = LineDecoder(path_label, strict=strict)
-    tokens = [*decoder.feed(text.encode("utf-8")), *decoder.finish()]
-    records, stats = merge_unfinished(tokens, path=path_label,
-                                      strict=strict)
-    return case_to_columns(
-        TraceCase(name=name, records=records, merge_stats=stats))
+    builder = CaseColumnBuilder(path_label, strict=strict)
+    builder.feed(text.encode("utf-8"))
+    return builder.finish(name)

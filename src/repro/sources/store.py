@@ -16,11 +16,8 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from repro.sources.base import (
-    SourceOptions,
-    TraceSource,
-    _localize_codes,
-)
+from repro.core.frame import localize_codes
+from repro.sources.base import SourceOptions, TraceSource
 from repro.sources.registry import require_no_options
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -75,9 +72,9 @@ class ElstoreSource(TraceSource):
             if self.cids is not None and meta.cid not in self.cids:
                 continue
             data = store.read_case(case_id)
-            call, calls = _localize_codes(
+            call, calls = localize_codes(
                 data["call"].astype(np.int32), calls_pool.__getitem__)
-            fp, paths = _localize_codes(
+            fp, paths = localize_codes(
                 data["fp"].astype(np.int32), paths_pool.__getitem__)
             yield CaseColumns(
                 name=TraceFileName(cid=meta.cid, host=meta.host,

@@ -29,9 +29,11 @@ in general. Splitting works in two steps:
    plain ``split(",")`` finds exactly the commas the scanner would, so
    :func:`split_args` splits it directly. The line decoder
    (:class:`repro.ingest.streaming.LineDecoder`) goes one step further:
-   :func:`parse_complete_line` runs one ``fullmatch`` of that shape,
-   plus the header and the return clause, over a whole complete syscall
-   line and builds the record without the tokenizer.
+   one ``fullmatch`` of that shape plus the header and the return
+   clause (``_LINE_RE``, split into fields by :func:`line_fields`)
+   takes a whole complete syscall line without the tokenizer, and its
+   body part (``_BODY_RE``, :func:`parse_simple_body`) takes the joined
+   halves of a split call before the scanner.
 2. **The reference scanner.** Every other list goes through a character
    scan that tracks quote state and ``([{<`` nesting to find the
    top-level commas and the closing parenthesis. It is the only
@@ -39,18 +41,28 @@ in general. Splitting works in two steps:
    the shape test accepts only input on which both agree, and whatever
    it refuses — errors included — is decided here (pinned by a
    differential hypothesis property in the test suite).
+
+Every route ends in one fp/size finisher, :func:`finish_fields`: the
+records of :func:`parse_body`, :func:`parse_simple_body` and
+:func:`parse_complete_line`, and the batch column builder
+(:class:`repro.ingest.streaming.CaseColumnBuilder`), which appends the
+fields of :func:`line_fields` straight to its columns and so never
+computes ``requested`` or ``args``. The finisher also rejects a pid,
+size or duration that does not fit the int64 columns of an event log.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro._util.errors import TraceParseError
-from repro._util.timefmt import parse_duration
+from repro._util.timefmt import parse_duration, wallclock_us
 from repro.strace.syscalls import PathSource, SyscallSpec, spec_for
 from repro.strace.tokenizer import (
     _SYSCALL_START_RE,
+    SIMPLE_HEADER,
     RecordKind,
     Token,
     tokenize_line,
@@ -59,7 +71,6 @@ from repro.strace.tokenizer import (
 _OPENERS = {"(": ")", "[": "]", "{": "}", "<": ">"}
 _CLOSERS = {v: k for k, v in _OPENERS.items()}
 
-_FD_ANNOT_RE = re.compile(r"^(\d+)<(.*)>$", re.DOTALL)
 #: A run of octal escapes (``\303\251``) or one simple C escape.
 _ESCAPE_RE = re.compile(r'((?:\\[0-7]{1,3})+)|\\([\\"nt])')
 _SIMPLE_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
@@ -75,21 +86,23 @@ _INNER = r'[^"\\,()\[\]{}<>]*'
 _ARGS = (_PLAIN + r'(?:(?:"' + _INNER + r'"|<' + _INNER + r'>)'
          + _PLAIN + r')*')
 _ARGS_RE = re.compile(_ARGS + r"\)")
-#: A whole complete syscall line of the simple shape: the header of
-#: :func:`~repro.strace.tokenizer.tokenize_line` (``-tt`` stamps only),
-#: a call over an ``_ARGS`` list, and the return clause of ``_RET_RE``
-#: with plain spaces and ASCII digits. Anything else is left to the
-#: reference path.
-_LINE_RE = re.compile(
-    r"(?:(?P<pid>[0-9]+) +)?"
-    r"(?P<h>[0-9]{2}):(?P<m>[0-9]{2}):(?P<s>[0-9]{2})\.(?P<us>[0-9]{6}) +"
-    r"(?P<body>(?P<call>[a-zA-Z_][a-zA-Z0-9_]*)\((?P<args>" + _ARGS
-    + r")\) *= +(?P<val>-?[0-9]+|\?|0x[0-9a-fA-F]+)"
-    r"(?:<(?P<retpath>[^>]*)>)?"
-    r"(?: +(?P<errno>[A-Z][A-Z0-9_]+) +\([^)]*\))?"
-    r"(?: +\([^)]*\))?"
-    r" *(?:<(?P<dur_s>[0-9]+)\.(?P<dur_us>[0-9]{6})>)? *)"
-)
+#: A complete syscall body of the simple shape: a call over an
+#: ``_ARGS`` list and the return clause of ``_RET_RE`` with plain
+#: spaces and ASCII digits.
+_BODY = (r"(?P<call>[a-zA-Z_][a-zA-Z0-9_]*)\((?P<args>" + _ARGS
+         + r")\) *= +(?P<val>-?[0-9]+|\?|0x[0-9a-fA-F]+)"
+         r"(?:<(?P<retpath>[^>]*)>)?"
+         r"(?: +(?P<errno>[A-Z][A-Z0-9_]+) +\([^)]*\))?"
+         r"(?: +\([^)]*\))?"
+         r" *(?:<(?P<dur_s>[0-9]+)\.(?P<dur_us>[0-9]{6})>)? *")
+#: The one complete-line shape: the tokenizer's simple header (``-tt``
+#: stamps only) and a body of the simple shape. Anything else is left
+#: to the reference path.
+_LINE_RE = re.compile(SIMPLE_HEADER + r"(?P<body>" + _BODY + r")")
+#: The body part of ``_LINE_RE``, for the joined halves of a split call.
+_BODY_RE = re.compile(_BODY)
+#: pid, size and dur end up in int64 columns.
+_INT64_LIMIT = 1 << 63
 _UNFINISHED = "<unfinished ...>"
 _RET_RE = re.compile(
     r"""^=\s+
@@ -259,7 +272,7 @@ def _strip_quotes(arg: str) -> str | None:
     return _ESCAPE_RE.sub(_unescape, inner)
 
 
-def _extract_fp(spec: SyscallSpec, args: tuple[str, ...],
+def _extract_fp(spec: SyscallSpec, args: Sequence[str],
                 ret_path: str | None) -> str | None:
     """Recover the ``fp`` attribute per the syscall's :class:`PathSource`."""
     source = spec.path_source
@@ -271,19 +284,20 @@ def _extract_fp(spec: SyscallSpec, args: tuple[str, ...],
         # Fallback without -y: first quoted argument is the path
         # (openat's arg 0 is AT_FDCWD / a dirfd).
         for arg in args:
-            quoted = _strip_quotes(arg)
+            quoted = _strip_quotes(arg.strip())
             if quoted is not None:
                 return quoted
         return None
     if source is PathSource.PATH_ARG:
         if spec.path_arg_index < len(args):
-            return _strip_quotes(args[spec.path_arg_index])
+            return _strip_quotes(args[spec.path_arg_index].strip())
         return None
-    # FD_ARG
+    # FD_ARG: ``3</path>``, the path being all between the first '<'
+    # and the closing '>'.
     if spec.path_arg_index < len(args):
-        match = _FD_ANNOT_RE.match(args[spec.path_arg_index])
-        if match:
-            return match.group(2)
+        fd, bracket, rest = args[spec.path_arg_index].strip().partition("<")
+        if bracket and fd.isdecimal() and rest.endswith(">"):
+            return rest[:-1]
     return None
 
 
@@ -300,20 +314,56 @@ def _extract_requested(spec: SyscallSpec,
     return int(arg) if arg.isdecimal() else None
 
 
-def _build_record(pid: int, start_us: int, call: str,
-                  args: tuple[str, ...], retval: int | None,
-                  ret_path: str | None, errno: str | None,
-                  dur_us: int | None) -> ParsedRecord:
-    """The record both parse routes produce from the split fields."""
-    spec = spec_for(call)
+def finish_fields(spec: SyscallSpec, args: Sequence[str],
+                  retval: int | None, ret_path: str | None,
+                  errno: str | None, pid: int, dur_us: int | None, *,
+                  path: str | None = None,
+                  lineno: int | None = None,
+                  ) -> tuple[str | None, int | None]:
+    """``(fp, size)`` of one record: the fp/size finisher of every
+    parse route — the record routes and the column builder
+    (:class:`~repro.ingest.streaming.CaseColumnBuilder`) alike.
+
+    ``args`` may be stripped arguments or the raw pieces of a
+    ``split(",")`` of a simple-shape list (the builder's, which never
+    strips the arguments it does not use): an argument is stripped
+    here, and an empty one carries no path either way.
+
+    Raises :class:`TraceParseError` naming ``path:lineno`` when pid,
+    size or dur does not fit the int64 columns of an event log.
+    """
     size = None
     if spec.returns_size and retval is not None and retval >= 0 \
             and errno is None:
         size = retval
-    return ParsedRecord(pid, start_us, call,
-                        _extract_fp(spec, args, ret_path), size, dur_us,
-                        retval, errno, _extract_requested(spec, args),
-                        args)
+    if pid >= _INT64_LIMIT or (size or 0) >= _INT64_LIMIT \
+            or (dur_us or 0) >= _INT64_LIMIT:
+        for field, value in (("pid", pid), ("size", size),
+                             ("dur", dur_us)):
+            if (value or 0) >= _INT64_LIMIT:
+                raise TraceParseError(
+                    f"{field} {value} does not fit a signed 64-bit "
+                    f"column", path=path, lineno=lineno)
+    return _extract_fp(spec, args, ret_path), size
+
+
+def _build_record(pid: int, start_us: int, call: str,
+                  args: tuple[str, ...], retval: int | None,
+                  ret_path: str | None, errno: str | None,
+                  dur_us: int | None, path: str | None,
+                  lineno: int | None) -> ParsedRecord:
+    """The record every parse route produces from the split fields."""
+    spec = spec_for(call)
+    fp, size = finish_fields(spec, args, retval, ret_path, errno, pid,
+                             dur_us, path=path, lineno=lineno)
+    return ParsedRecord(pid, start_us, call, fp, size, dur_us, retval,
+                        errno, _extract_requested(spec, args), args)
+
+
+def _duration(seconds: str | None, micros: str | None) -> int | None:
+    """µs of the ``-T`` fields of a shape match (``micros`` has six
+    digits, so the digits read as one number); None when absent."""
+    return None if seconds is None else int(seconds + micros)
 
 
 def parse_body(pid: int, start_us: int, body: str, *,
@@ -333,37 +383,70 @@ def parse_body(pid: int, start_us: int, body: str, *,
         raise TraceParseError(
             str(exc), path=path, lineno=lineno, line=body) from exc
     return _build_record(pid, start_us, match.group(0)[:-1],
-                         tuple(arg_list), retval, ret_path, errno, dur_us)
+                         tuple(arg_list), retval, ret_path, errno, dur_us,
+                         path, lineno)
 
 
-def parse_complete_line(line: str, default_pid: int = 0,
-                        lineno: int | None = None) -> Token | None:
-    """The line decoder's fast path for one complete syscall line.
+def parse_simple_body(pid: int, start_us: int, body: str, *,
+                      path: str | None = None,
+                      lineno: int | None = None) -> ParsedRecord | None:
+    """:func:`parse_body` by one ``fullmatch`` of the body part of the
+    complete-line shape; ``None`` when the body is not of that shape.
 
-    One ``fullmatch`` of the simple line shape (see the module
-    docstring) yields the SYSCALL :class:`Token`, with its
-    :class:`ParsedRecord` attached, that :func:`tokenize_line` plus
-    :func:`parse_body` would produce. Returns ``None`` for any other
-    line — unfinished, resumed, signal and exit records, ``-ttt``
-    stamps, nested or escaped arguments, an out-of-range clock — which
-    the reference path then decides, errors included.
+    The merger tries it on the joined halves of a split call before
+    the scanner.
+    """
+    match = _BODY_RE.fullmatch(body)
+    if match is None:
+        return None
+    call, arg_text, val, ret_path, errno, dur_s, dur_us = match.groups()
+    return _build_record(pid, start_us, call,
+                         tuple(_split_simple(arg_text)), _retval(val),
+                         ret_path, errno, _duration(dur_s, dur_us), path,
+                         lineno)
+
+
+def line_fields(line: str, default_pid: int = 0) -> tuple | None:
+    """The split fields of one complete syscall line of the simple
+    shape (see the module docstring), by one ``fullmatch``:
+    ``(pid, start_us, body, call, arg_text, retval, ret_path, errno,
+    dur_us)``, where ``arg_text`` is the unsplit argument list.
+
+    Returns ``None`` for any other line — unfinished, resumed, signal
+    and exit records, ``-ttt`` stamps, nested or escaped arguments, an
+    out-of-range clock — which the reference path then decides, errors
+    included. Shared by the decoder's two fast paths:
+    :func:`parse_complete_line` and the column builder.
     """
     match = _LINE_RE.fullmatch(line)
     if match is None:
         return None
-    (pid, hours, minutes, seconds, micros, body, call, arg_text, val,
-     ret_path, errno, dur_s, dur_us) = match.groups()
-    hours, minutes, seconds = int(hours), int(minutes), int(seconds)
-    if hours > 23 or minutes > 59 or seconds > 60 \
-            or body.endswith(_UNFINISHED):
+    (pid, hms, micros, body, call, arg_text, val, ret_path, errno, dur_s,
+     dur_us) = match.groups()
+    start_us = wallclock_us(hms, micros)
+    if start_us is None or body.endswith(_UNFINISHED):
         return None
-    pid = int(pid) if pid is not None else default_pid
-    start_us = ((hours * 3600 + minutes * 60 + seconds) * 1_000_000
-                + int(micros))
-    record = _build_record(
-        pid, start_us, call, tuple(_split_simple(arg_text)), _retval(val),
-        ret_path, errno,
-        int(dur_s) * 1_000_000 + int(dur_us) if dur_s is not None else None)
+    return (int(pid) if pid is not None else default_pid, start_us, body,
+            call, arg_text, _retval(val), ret_path, errno,
+            _duration(dur_s, dur_us))
+
+
+def parse_complete_line(line: str, default_pid: int = 0,
+                        lineno: int | None = None,
+                        path: str | None = None) -> Token | None:
+    """The line decoder's record fast path for one complete syscall
+    line: the SYSCALL :class:`Token`, with its :class:`ParsedRecord`
+    attached, that :func:`tokenize_line` plus :func:`parse_body` would
+    produce, or ``None`` when :func:`line_fields` refuses the line.
+    """
+    fields = line_fields(line, default_pid)
+    if fields is None:
+        return None
+    pid, start_us, body, call, arg_text, retval, ret_path, errno, \
+        dur_us = fields
+    record = _build_record(pid, start_us, call,
+                           tuple(_split_simple(arg_text)), retval,
+                           ret_path, errno, dur_us, path, lineno)
     return Token(pid, start_us, RecordKind.SYSCALL, body, lineno, record)
 
 

@@ -95,14 +95,19 @@ def read_trace_file(
     records, stats = merge_unfinished(
         stream, path=str(file_path), strict=strict)
     stats.decode_replacements = stream.decode_replacements
-    if stats.decode_replacements:
-        warnings.warn(
-            f"{file_path}: replaced {stats.decode_replacements} "
-            f"undecodable byte(s) with U+FFFD — the trace is corrupt "
-            f"or not UTF-8",
-            stacklevel=2)
+    warn_decode_replacements(file_path, stats.decode_replacements)
     return TraceCase(name=name, records=records, merge_stats=stats,
                      source=file_path)
+
+
+def warn_decode_replacements(path: Path, count: int) -> None:
+    """Warn that lenient reading replaced ``count`` undecodable bytes
+    of ``path`` (nothing when there were none)."""
+    if count:
+        warnings.warn(
+            f"{path}: replaced {count} undecodable byte(s) with U+FFFD "
+            f"— the trace is corrupt or not UTF-8",
+            stacklevel=3)
 
 
 def discover_trace_files(

@@ -28,7 +28,11 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro._util.errors import TraceParseError
-from repro.strace.parser import ParsedRecord, parse_body
+from repro.strace.parser import (
+    ParsedRecord,
+    parse_body,
+    parse_simple_body,
+)
 from repro.strace.tokenizer import (
     RecordKind,
     Token,
@@ -178,27 +182,42 @@ class IncrementalMerger:
         downstream incremental structures immediately.
         """
         for token in tokens:
-            self._consume(token)
+            record = self.complete(token)
+            if record is not None:
+                self._buffer.append((record.start_us, self._seq, record))
+                self._seq += 1
         return self._drain()
 
     def finish(self) -> list[ParsedRecord]:
         """End of input: orphan in-flight calls, seal everything left."""
-        self.stats.orphan_unfinished += len(self._pending)
-        self._pending.clear()
+        self.orphan_pending()
         return self._drain()
 
-    def _consume(self, token: Token) -> None:
+    def orphan_pending(self) -> None:
+        """End of input for the merge state: count and forget the
+        in-flight calls (a process killed mid-call)."""
+        self.stats.orphan_unfinished += len(self._pending)
+        self._pending.clear()
+
+    def complete(self, token: Token) -> ParsedRecord | None:
+        """The merge state machine, one token at a time: the record the
+        token completes, if any, without sealing it.
+
+        :meth:`feed` buffers these behind the seal watermark; the batch
+        column builder (:class:`~repro.ingest.streaming.CaseColumnBuilder`)
+        appends them in completion order and sorts once at the end.
+        """
         stats = self.stats
         if token.kind is RecordKind.SIGNAL:
             stats.skipped_signals += 1
-            return
+            return None
         if token.kind is RecordKind.EXIT:
             stats.skipped_exits += 1
             # An exit while a call is pending orphans it.
             if token.pid in self._pending:
                 del self._pending[token.pid]
                 stats.orphan_unfinished += 1
-            return
+            return None
         if token.kind is RecordKind.UNFINISHED:
             if token.pid in self._pending:
                 raise TraceParseError(
@@ -206,7 +225,7 @@ class IncrementalMerger:
                     path=self.path, lineno=token.lineno)
             self._pending[token.pid] = (
                 token, unfinished_call_name(token.body))
-            return
+            return None
         if token.kind is RecordKind.RESUMED:
             entry = self._pending.pop(token.pid, None)
             call = resumed_call_name(token.body)
@@ -217,21 +236,23 @@ class IncrementalMerger:
                         f"matching unfinished record", path=self.path,
                         lineno=token.lineno)
                 stats.orphan_resumed += 1
-                return
+                return None
             head_token, head_call = entry
             if head_call != call:
                 raise TraceParseError(
                     f"pid {token.pid}: unfinished {head_call!r} resumed as "
                     f"{call!r}", path=self.path, lineno=token.lineno)
             body = _join_bodies(head_token.body, token.body, call)
-            record = parse_body(head_token.pid, head_token.start_us, body,
-                                path=self.path, lineno=token.lineno)
+            pid, start_us = head_token.pid, head_token.start_us
+            record = parse_simple_body(
+                pid, start_us, body, path=self.path, lineno=token.lineno) \
+                or parse_body(pid, start_us, body, path=self.path,
+                              lineno=token.lineno)
             if _is_restart(record):
                 stats.dropped_restarts += 1
-            else:
-                stats.merged_pairs += 1
-                self._complete(record)
-            return
+                return None
+            stats.merged_pairs += 1
+            return record
         # Plain complete syscall record; the line decoder's fast path
         # has already parsed most of them.
         record = token.record
@@ -240,12 +261,8 @@ class IncrementalMerger:
                                 path=self.path, lineno=token.lineno)
         if _is_restart(record):
             stats.dropped_restarts += 1
-        else:
-            self._complete(record)
-
-    def _complete(self, record: ParsedRecord) -> None:
-        self._buffer.append((record.start_us, self._seq, record))
-        self._seq += 1
+            return None
+        return record
 
     def _drain(self) -> list[ParsedRecord]:
         if not self._buffer:

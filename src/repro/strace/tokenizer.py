@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro._util.errors import TraceParseError
-from repro._util.timefmt import parse_wallclock
+from repro._util.timefmt import parse_wallclock, wallclock_us
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.strace.parser import ParsedRecord
@@ -92,6 +92,14 @@ _HEADER_RE = re.compile(
 )
 _RESUMED_RE = re.compile(r"^<\.\.\.\s+(\S+)\s+resumed>")
 _SYSCALL_START_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*\(")
+#: The common header shape: ASCII pid and ``-tt`` stamp digits,
+#: separated by plain spaces. Wherever it matches, it splits the line
+#: as ``_HEADER_RE`` does, provided the body does not start with other
+#: whitespace. Also the header part of the parser's complete-line
+#: regex.
+SIMPLE_HEADER = (r"(?:(?P<pid>[0-9]+) +)?"
+                 r"(?P<hms>[0-9]{2}:[0-9]{2}:[0-9]{2})\.(?P<us>[0-9]{6}) +")
+_SIMPLE_HEADER_RE = re.compile(SIMPLE_HEADER)
 
 
 def _parse_timestamp(text: str) -> int:
@@ -138,23 +146,53 @@ def tokenize_line(
         raise TraceParseError(
             str(exc), path=path, lineno=lineno, line=line) from exc
     body = match.group("body")
-
-    if body.startswith("+++"):
-        kind = RecordKind.EXIT
-    elif body.startswith("---"):
-        kind = RecordKind.SIGNAL
-    elif _RESUMED_RE.match(body):
-        kind = RecordKind.RESUMED
-    elif body.endswith("<unfinished ...>"):
-        kind = RecordKind.UNFINISHED
-    elif _SYSCALL_START_RE.match(body):
-        kind = RecordKind.SYSCALL
-    else:
+    kind = _body_kind(body)
+    if kind is None:
         raise TraceParseError(
             f"unrecognized record body: {body[:80]!r}",
             path=path, lineno=lineno, line=line)
     return Token(pid=pid, start_us=start_us, kind=kind, body=body,
                  lineno=lineno)
+
+
+def _body_kind(body: str) -> RecordKind | None:
+    """The :class:`RecordKind` of a record body, None if it has none."""
+    if body.startswith("+++"):
+        return RecordKind.EXIT
+    if body.startswith("---"):
+        return RecordKind.SIGNAL
+    if _RESUMED_RE.match(body):
+        return RecordKind.RESUMED
+    if body.endswith("<unfinished ...>"):
+        return RecordKind.UNFINISHED
+    if _SYSCALL_START_RE.match(body):
+        return RecordKind.SYSCALL
+    return None
+
+
+def classify_line(line: str, default_pid: int = 0,
+                  lineno: int | None = None) -> Token | None:
+    """Header-only fast classification of one line.
+
+    Returns the :class:`Token` :func:`tokenize_line` would return when
+    the header has the common shape (``SIMPLE_HEADER``) and the stamp
+    is in range, and ``None`` otherwise — or when the body has no
+    kind — so that the reference decides, errors included. The line
+    decoder runs it on every line its complete-line fast path leaves.
+    """
+    match = _SIMPLE_HEADER_RE.match(line)
+    if match is None:
+        return None
+    body = line[match.end():]
+    if not body or body[0].isspace():
+        return None
+    pid, hms, micros = match.groups()
+    start_us = wallclock_us(hms, micros)
+    kind = _body_kind(body)
+    if start_us is None or kind is None:
+        return None
+    return Token(int(pid) if pid is not None else default_pid, start_us,
+                 kind, body, lineno)
 
 
 def resumed_call_name(body: str) -> str:

@@ -145,12 +145,14 @@ class TestConvertEquivalence:
         assert parallel.read_bytes() == sequential.read_bytes()
 
 
-@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("workload", WORKLOADS)
 class TestColumnarWireFormat:
     def test_frame_from_case_columns_matches_from_cases(
-            self, workload_dirs, workers, logs_identical):
+            self, workload_dirs, workload, workers, logs_identical):
         """The columnar wire format reassembles to the exact frame the
-        sequential record path builds — same arrays, same pools."""
+        sequential record path builds — same arrays, same pools.
+        ``workers=1`` is the in-process column builder route."""
         from repro.core.frame import EventFrame
         from repro.ingest.parallel import (
             frame_from_case_columns,
@@ -158,9 +160,9 @@ class TestColumnarWireFormat:
         )
         from repro.strace.reader import discover_trace_files
 
-        found = discover_trace_files(workload_dirs["ior"])
+        found = discover_trace_files(workload_dirs[workload])
         columnar = EventLog(frame_from_case_columns(list(
             iter_case_columns(found, workers=workers))))
         recorded = EventLog(EventFrame.from_cases(
-            read_trace_dir(workload_dirs["ior"], workers=1)))
+            read_trace_dir(workload_dirs[workload], workers=1)))
         logs_identical(columnar, recorded)

@@ -119,3 +119,74 @@ class TestParseErrorLocation:
             "<0.000899>\n"))
         assert "without a matching" in str(error)
         assert str(error).endswith("a_node01_1.st:2]")
+
+
+
+class TestOutOfRangeIntegers:
+    """pid, size and dur land in int64 columns: a 20-digit value is a
+    parse error naming ``path:line`` on the batch column route, the
+    record route and the live route alike — never an OverflowError."""
+
+    GOOD = "100  10:00:00.000001 close(3</x>) = 0 <0.000001>\n"
+    HUGE = "99999999999999999999"
+    LINES = {
+        "size": f'100  10:00:00.000002 read(3</tmp/x>, "a", 1) = {HUGE} '
+                f"<0.000001>\n",
+        "pid": f'{HUGE}  10:00:00.000002 read(3</tmp/x>, "a", 1) = 1 '
+               f"<0.000001>\n",
+        "dur": f'100  10:00:00.000002 read(3</tmp/x>, "a", 1) = 1 '
+               f"<{HUGE}.000001>\n",
+        "merged size": (
+            "100  10:00:00.000002 read(3</tmp/x>, <unfinished ...>\n"
+            f"100  10:00:00.000003 <... read resumed> \"a\", 1) = {HUGE} "
+            "<0.000001>\n"),
+    }
+
+    def _dir(self, tmp_path, bad: str):
+        directory = tmp_path / "dir"
+        directory.mkdir()
+        (directory / "a_node01_1.st").write_text(self.GOOD)
+        (directory / "a_node01_2.st").write_text(self.GOOD + bad)
+        return directory
+
+    @pytest.mark.parametrize("field", sorted(LINES))
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_batch_routes(self, tmp_path, field, workers):
+        directory = self._dir(tmp_path, self.LINES[field])
+        lineno = self.LINES[field].count("\n") + 1
+        with pytest.raises(TraceParseError) as excinfo:
+            EventLog.from_source(str(directory), workers=workers)
+        message = str(excinfo.value)
+        assert "does not fit a signed 64-bit column" in message
+        assert message.startswith(field.split()[-1] + " ")
+        assert message.endswith(f"a_node01_2.st:{lineno}]")
+        with pytest.raises(TraceParseError) as excinfo:
+            read_trace_file(directory / "a_node01_2.st")
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("field", sorted(LINES))
+    def test_live_poll(self, tmp_path, field):
+        from repro.live.engine import LiveIngest
+
+        directory = self._dir(tmp_path, self.LINES[field])
+        with pytest.raises(TraceParseError,
+                           match="does not fit a signed 64-bit") as excinfo:
+            LiveIngest(directory).poll()
+        lineno = self.LINES[field].count("\n") + 1
+        assert str(excinfo.value).endswith(f"a_node01_2.st:{lineno}]")
+
+    def test_report_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        directory = self._dir(tmp_path, self.LINES["size"])
+        assert main(["report", f"strace:{directory}"]) == 2
+        err = capsys.readouterr().err
+        assert "does not fit a signed 64-bit column" in err
+        assert "Traceback" not in err
+
+    def test_largest_int64_is_accepted(self, tmp_path):
+        limit = str((1 << 63) - 1)
+        directory = self._dir(tmp_path, self.LINES["size"].replace(
+            self.HUGE, limit))
+        log = EventLog.from_source(str(directory), workers=1)
+        assert int(log.frame.column("size").max()) == (1 << 63) - 1
