@@ -5,7 +5,10 @@ single O(n) pass over the activity-log; statistics are O(mn); rendering
 is O(m²) worst case (complete graph). This bench measures those stages
 across a size sweep of synthetic event-logs and asserts near-linear
 growth for the O(n) stages (time ratio within 3× of the size ratio —
-generous to absorb allocator noise).
+generous to absorb allocator noise). A second sweep fixes the events
+per activity and grows the activity count m instead: the DFG count,
+the statistics pass and the ASCII render must stay linear in m too
+(the render once computed its bar scale per node, which is O(m²)).
 """
 
 import time
@@ -14,10 +17,12 @@ import numpy as np
 import pytest
 
 from repro.core.activity import ActivityLog, START_ACTIVITY, END_ACTIVITY
+from repro.core.coloring import StatisticsColoring
 from repro.core.dfg import DFG
 from repro.core.eventlog import EventLog
 from repro.core.frame import EventFrame, FramePools
 from repro.core.mapping import CallTopDirs
+from repro.core.render.ascii import render_ascii
 from repro.core.render.dot import render_dot
 from repro.core.statistics import IOStatistics
 
@@ -137,3 +142,41 @@ def test_render_quadratic_in_m(benchmark):
     assert ratio < 3 * edge_ratio
     dfg = complete_dfg(small_m)
     benchmark(render_dot, dfg)
+
+
+ACTIVITY_SWEEP = (100, 400, 1600)
+EVENTS_PER_ACTIVITY = 40
+
+
+def _activity_stages(m: int) -> dict:
+    """The three analysis stages over a log with m activities."""
+    log = synthetic_log(m * EVENTS_PER_ACTIVITY, n_activities=m) \
+        .with_mapping(CallTopDirs(levels=3))
+    dfg = DFG(log)
+    stats = IOStatistics(log)
+    coloring = StatisticsColoring(stats)
+    return {
+        "DFG": lambda: DFG(log),
+        "IOStatistics": lambda: IOStatistics(log),
+        "render_ascii": lambda: render_ascii(dfg, stats, coloring),
+    }
+
+
+@pytest.mark.bench
+def test_analysis_linear_in_activities():
+    """DFG, statistics and the statistics-coloured ASCII render grow
+    linearly in the activity count at fixed events per activity."""
+    stages = {m: _activity_stages(m) for m in ACTIVITY_SWEEP}
+    small_m, large_m = ACTIVITY_SWEEP[0], ACTIVITY_SWEEP[-1]
+    size_ratio = large_m / small_m
+    rows = []
+    for stage in stages[small_m]:
+        small = min(_timed(stages[small_m][stage]) for _ in range(3))
+        large = min(_timed(stages[large_m][stage]) for _ in range(3))
+        ratio = large / small
+        rows.append((stage, ratio))
+    paper_vs_measured("Sec. V — analysis is linear in m", [
+        (f"{stage} time ratio for {size_ratio:.0f}x activities",
+         f"≈{size_ratio:.0f}", f"{ratio:.1f}") for stage, ratio in rows])
+    for stage, ratio in rows:
+        assert ratio < 3 * size_ratio, stage

@@ -14,8 +14,18 @@ hypothesis tests check), and exclusive-node/edge queries used by
 partition coloring.
 
 Construction is a single pass over the activity-log (O(n), as the paper
-notes in Sec. V), with distinct traces processed once and weighted by
-multiplicity.
+notes in Sec. V). An :class:`~repro.core.eventlog.EventLog` is counted
+straight from the frame's ``case``/``activity`` code columns: rows are
+stable-sorted by case and laid out as one flat code sequence with ● / ■
+codes at the case boundaries, every in-case adjacent pair is packed into
+one integer, and ``np.unique`` counts nodes and edges. Only the distinct
+nodes and edges are decoded to strings, so the Python-level work is
+O(activities + edges), not O(events). Dict keys are inserted in order of
+first occurrence — the same order the trace-multiset route of
+:meth:`~repro.core.activity.ActivityLog.directly_follows_counts` yields,
+because a repeated trace adds no key that its first copy did not. That
+route still serves :class:`~repro.core.activity.ActivityLog` inputs and
+is the reference the columnar count is tested against.
 """
 
 from __future__ import annotations
@@ -23,6 +33,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Mapping as TMapping
 
 import networkx as nx
+import numpy as np
 
 from repro._util.errors import ReproError
 from repro.core.activity import (
@@ -31,9 +42,11 @@ from repro.core.activity import (
     START_ACTIVITY,
     ActivityLog,
 )
+from repro.core.frame import MISSING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.eventlog import EventLog
+    from repro.core.frame import EventFrame
 
 Edge = tuple[str, str]
 
@@ -56,12 +69,12 @@ class DFG:
         if source is None:
             return
         if isinstance(source, ActivityLog):
-            activity_log = source
+            self._edges = source.directly_follows_counts()
+            self._node_freq = source.activity_frequencies()
         else:
-            activity_log = ActivityLog.from_event_log(
-                source, add_endpoints=add_endpoints)
-        self._edges = activity_log.directly_follows_counts()
-        self._node_freq = activity_log.activity_frequencies()
+            source._require_mapping()
+            self._edges, self._node_freq = _frame_counts(
+                source.frame, add_endpoints)
 
     @classmethod
     def from_counts(cls, edges: TMapping[Edge, int],
@@ -254,3 +267,66 @@ class DFG:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DFG({self.n_nodes} nodes, {self.n_edges} edges)"
+
+
+def _frame_counts(frame: "EventFrame", add_endpoints: bool,
+                  ) -> tuple[dict[Edge, int], dict[str, int]]:
+    """Edge counts and node frequencies of a mapped frame, from its
+    ``case``/``activity`` code columns.
+
+    Cases are taken in code order and rows keep their frame order
+    within a case, exactly like
+    :meth:`~repro.core.activity.ActivityLog.from_event_log`; a case
+    without a mapped event still contributes ``⟨●, ■⟩``.
+    """
+    case = frame.column("case")
+    if len(case) == 0:
+        return {}, {}
+    order = np.argsort(case, kind="stable")
+    cases = case[order]
+    codes = frame.column("activity")[order].astype(np.int64)
+    pool = frame.pools.activities
+    start_code, end_code = len(pool), len(pool) + 1
+    heads = np.ones(len(cases), dtype=bool)
+    heads[1:] = cases[1:] != cases[:-1]
+    group = np.cumsum(heads) - 1
+    if add_endpoints:
+        # Case g occupies [first_g + 2g, last_g + 2g + 2]: ●, its rows, ■.
+        firsts = np.flatnonzero(heads)
+        lasts = np.append(firsts[1:], len(cases)) - 1
+        offsets = 2 * np.arange(len(firsts))
+        seq = np.empty(len(cases) + 2 * len(firsts), dtype=np.int64)
+        seq[np.arange(len(cases)) + 2 * group + 1] = codes
+        seq[firsts + offsets] = start_code
+        seq[lasts + offsets + 2] = end_code
+        seq = seq[seq != MISSING]
+        in_case = seq[:-1] != end_code
+    else:
+        mapped = codes != MISSING
+        seq = codes[mapped]
+        group = group[mapped]
+        in_case = group[:-1] == group[1:]
+    width = end_code + 1
+    pairs = (seq[:-1] * width + seq[1:])[in_case]
+
+    def name(code: int) -> str:
+        if code == start_code:
+            return START_ACTIVITY
+        if code == end_code:
+            return END_ACTIVITY
+        return pool.decode(code)
+
+    edges = {(name(key // width), name(key % width)): count
+             for key, count in zip(*_first_occurrence_counts(pairs))}
+    nodes = {name(code): count
+             for code, count in zip(*_first_occurrence_counts(seq))}
+    return edges, nodes
+
+
+def _first_occurrence_counts(values: np.ndarray,
+                             ) -> tuple[list[int], list[int]]:
+    """Distinct values and their counts, in first-occurrence order."""
+    uniq, first, counts = np.unique(values, return_index=True,
+                                    return_counts=True)
+    order = np.argsort(first)
+    return uniq[order].tolist(), counts[order].tolist()

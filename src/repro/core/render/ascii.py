@@ -36,13 +36,15 @@ def render_ascii(
             return {"green": "[G] ", "red": "[R] ", "shared": "    "}[kind]
         return ""
 
+    shade_bars = isinstance(styler, StatisticsColoring) and stats is not None
+    if shade_bars:
+        peak = max(
+            (stats.metric(a, styler.metric) for a in stats.activities()),
+            default=0.0)
+
     def bar(activity: str) -> str:
-        if isinstance(styler, StatisticsColoring) and stats is not None \
-                and activity in stats:
+        if shade_bars and activity in stats:
             value = stats.metric(activity, styler.metric)
-            peak = max(
-                (stats.metric(a, styler.metric) for a in stats.activities()),
-                default=0.0)
             filled = round(_BAR_WIDTH * value / peak) if peak > 0 else 0
             return " |" + "#" * filled + "." * (_BAR_WIDTH - filled) + "|"
         return ""

@@ -38,8 +38,12 @@ persist statistics across process restarts
 
 Complexity of the batch pass: one group-by on the activity column plus
 columnar per-case slicing — the O(mn) of Sec. V, implemented as a
-stable sort + split + vectorized column math so the Python-level cost
-is O(m + cases), not O(mn). Derived per-activity scalars (max
+stable sort + split + vectorized column math. Each activity group is
+folded once: its duration and byte sums, distinct rids and Eq. 13 rate
+sum (:func:`_exact_sum_many`, a few ``math.fsum`` passes) are computed
+for the whole group, and one list of ``(start, end)`` pairs is sliced
+into the per-case buffers, so the Python-level cost is
+O(m + (activity, case) runs), not O(mn). Derived per-activity scalars (max
 concurrency, mean rate) are cached and recomputed only for activities
 that received events since the last assembly — a touched activity
 re-sweeps its own interval buffer, an untouched one costs O(1) — and
@@ -165,6 +169,26 @@ def _exact_sum_step(partials: list[float], value: float) -> None:
     partials[i:] = [value]
 
 
+def _exact_sum_many(partials: list[float], values: list[float]) -> None:
+    """Fold many values into the partials of :func:`_exact_sum_step`.
+
+    Equivalent to stepping each value in — the partials again sum
+    exactly to the old total plus the exact sum of ``values`` — at
+    C speed: ``math.fsum`` gives the correctly rounded sum, which is
+    folded in, and its negation is appended so the next pass sums the
+    exact remainder. Every remainder is at least 2⁵³ times smaller
+    than the one before and all are multiples of the smallest
+    subnormal, so a remainder of 0.0 is reached after a few passes.
+    """
+    values = list(values)
+    while True:
+        rounded = math.fsum(values)
+        if not rounded:
+            return
+        _exact_sum_step(partials, rounded)
+        values.append(-rounded)
+
+
 class ActivityAccumulator:
     """Running statistics of one activity, updatable per event.
 
@@ -246,34 +270,45 @@ class ActivityAccumulator:
             self._coarsen(buffer)
         self._dirty = True
 
-    def add_case_chunk(self, case_id: str, *, rids: np.ndarray,
-                       starts: np.ndarray, ends: np.ndarray,
-                       durs: np.ndarray, sizes: np.ndarray) -> None:
-        """Fold a columnar slice of one case's events (batch road).
+    def add_group(self, case_ids: list[str], bounds: list[int], *,
+                  rids: np.ndarray, starts: np.ndarray,
+                  durs: np.ndarray, sizes: np.ndarray) -> None:
+        """Fold a columnar group of this activity's events (batch road).
 
-        ``ends`` must already be ``start + dur`` with missing durations
-        treated as zero; ``durs``/``sizes`` use the frame's ``MISSING``
-        sentinel. Equivalent to calling :meth:`add_event` per row, but
-        with all per-row work in NumPy/C.
+        ``case_ids[i]`` owns rows ``bounds[i]:bounds[i + 1]``; rows are
+        in sealed order within each case. ``durs``/``sizes`` use the
+        frame's ``MISSING`` sentinel. Equivalent to calling
+        :meth:`add_event` per row, window coarsening included, with
+        the scalar folds done once for the whole group. Sums go
+        through Python ints, so they never wrap like an int64 NumPy
+        sum would.
         """
-        self.event_count += int(len(starts))
+        self.event_count += len(starts)
         valid_dur = durs != MISSING
-        self.dur_sum += int(durs[valid_dur].sum())
+        self.dur_sum += sum(durs[valid_dur].tolist())
         transfer = sizes != MISSING
         if transfer.any():
             self.has_transfers = True
-            self.bytes_sum += int(sizes[transfer].sum())
-        rate_mask = transfer & valid_dur & (durs > 0)
+            self.bytes_sum += sum(sizes[transfer].tolist())
+        rate_mask = transfer & (durs > 0)
         if rate_mask.any():
             rates = sizes[rate_mask] / (durs[rate_mask] / 1e6)
-            for rate in rates.tolist():
-                _exact_sum_step(self._rate_partials, rate)
-            self.rate_count += int(rate_mask.sum())
-        self.rids.update(map(int, np.unique(rids)))
-        buffer = self._case_timelines.setdefault(case_id, [])
-        buffer.extend(zip(starts.tolist(), ends.tolist()))
-        if self.window is not None and len(buffer) > self.window:
-            self._coarsen(buffer)
+            _exact_sum_many(self._rate_partials, rates.tolist())
+            self.rate_count += int(np.count_nonzero(rate_mask))
+        self.rids.update(np.unique(rids).tolist())
+        intervals = list(zip(
+            starts.tolist(),
+            (starts + np.where(valid_dur, durs, 0)).tolist()))
+        window = self.window
+        for case_id, lo, hi in zip(case_ids, bounds, bounds[1:]):
+            buffer = self._case_timelines.setdefault(case_id, [])
+            if window is None:
+                buffer.extend(intervals[lo:hi])
+                continue
+            for interval in intervals[lo:hi]:
+                buffer.append(interval)
+                if len(buffer) > window:
+                    self._coarsen(buffer)
         self._dirty = True
 
     def _coarsen(self, buffer: list[tuple[int, int]]) -> None:
@@ -475,9 +510,9 @@ class StatsAccumulator:
 
         One group-by on the activity column; within each group the
         rows are already case-major and start-sorted (the frame
-        invariant), so per-case chunks are boundary splits. Ends are
-        computed columnally and case codes decoded once per chunk —
-        no per-row Python.
+        invariant), so per-case runs are boundary splits. Each group
+        is folded once (:meth:`ActivityAccumulator.add_group`), with
+        case codes decoded once per run — no per-row Python.
         """
         pools = frame.pools
         dur = frame.column("dur")
@@ -486,20 +521,14 @@ class StatsAccumulator:
         rid = frame.column("rid")
         case = frame.column("case")
         for code, rows in frame.groupby_activity():
-            acc = self._accumulator(pools.activities.decode(code))
-            durs = dur[rows]
-            sizes = size[rows]
-            starts = start[rows]
-            ends = starts + np.where(durs != MISSING, durs, 0)
             case_codes = case[rows]
-            bounds = np.flatnonzero(np.diff(case_codes)) + 1
-            edges = [0, *bounds.tolist(), len(rows)]
-            for lo, hi in zip(edges, edges[1:]):
-                acc.add_case_chunk(
-                    pools.cases.decode(int(case_codes[lo])),
-                    rids=rid[rows[lo:hi]],
-                    starts=starts[lo:hi], ends=ends[lo:hi],
-                    durs=durs[lo:hi], sizes=sizes[lo:hi])
+            bounds = [0, *(np.flatnonzero(np.diff(case_codes)) + 1)
+                      .tolist(), len(rows)]
+            case_ids = [pools.cases.decode(c)
+                        for c in case_codes[bounds[:-1]].tolist()]
+            self._accumulator(pools.activities.decode(code)).add_group(
+                case_ids, bounds, rids=rid[rows], starts=start[rows],
+                durs=dur[rows], sizes=size[rows])
         return self
 
     # -- assembly ----------------------------------------------------------

@@ -6,14 +6,18 @@ randomized increments — which file grows when, how many bytes land per
 step (cut at *arbitrary* positions, so lines and unfinished/resumed
 pairs split across polls), where polls and kill/restart cycles happen.
 This module holds the one schedule strategy and the byte-cutting
-replay helper those suites used to copy.
+replay helper those suites used to copy, plus :func:`event_frames`,
+the random columnar frame the core analysis properties draw.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
 from hypothesis import strategies as st
+
+from repro.core.frame import MISSING, EventFrame, FramePools
 
 
 def growth_steps(n_files: int = 4, max_steps: int = 30):
@@ -112,3 +116,58 @@ def replay_schedule(file_bytes: dict[str, bytes], schedule, *,
             on_step(step_index)
     grower.finish()
     poll()
+
+
+#: Default per-row ``(start, dur, size)`` draw of :func:`event_frames`.
+SMALL_TIMINGS = st.tuples(
+    st.integers(min_value=0, max_value=1000),
+    st.one_of(st.just(MISSING), st.integers(min_value=0, max_value=50)),
+    st.one_of(st.just(MISSING), st.integers(min_value=0, max_value=4096)))
+
+
+@st.composite
+def event_frames(draw, *, max_cases: int = 8, max_activities: int = 12,
+                 max_rows: int = 40, timings=SMALL_TIMINGS) -> EventFrame:
+    """A random mapped frame for the columnar analysis layers.
+
+    Rows come in arbitrary case order and may be unmapped (``MISSING``
+    activity), so cases with no mapped event and single-event cases
+    occur; case codes are interned out of name order and every pool
+    holds codes no row uses. Cases carry one of up to three cids, so
+    ``filtered_cids``/``PartitionEL`` sub-logs can be cut.
+    ``timings`` draws each row's ``(start, dur, size)``.
+    """
+    n_cases = draw(st.integers(min_value=1, max_value=max_cases))
+    n_activities = draw(st.integers(min_value=1, max_value=max_activities))
+    pools = FramePools()
+    for i in draw(st.permutations(range(n_cases + 2))):
+        pools.cases.intern(f"c{i}")
+    for i in range(n_activities + 2):
+        pools.activities.intern(f"a{i}")
+    for cid in draw(st.permutations(["x", "y", "z"])):
+        pools.cids.intern(cid)
+    host = pools.hosts.intern("h")
+    call = pools.calls.intern("read")
+    case_cids = draw(st.lists(st.integers(min_value=0, max_value=2),
+                              min_size=n_cases, max_size=n_cases))
+    rows = draw(st.lists(
+        st.tuples(st.integers(min_value=0, max_value=n_cases - 1),
+                  st.sampled_from([MISSING, *range(n_activities)]),
+                  st.integers(min_value=0, max_value=3),
+                  timings),
+        min_size=1, max_size=max_rows))
+    case = np.array([r[0] for r in rows], dtype=np.int32)
+    columns = {
+        "case": case,
+        "cid": np.array([case_cids[c] for c in case], dtype=np.int32),
+        "host": np.full(len(rows), host, dtype=np.int32),
+        "rid": np.array([r[2] for r in rows], dtype=np.int64),
+        "pid": np.ones(len(rows), dtype=np.int64),
+        "call": np.full(len(rows), call, dtype=np.int32),
+        "start": np.array([r[3][0] for r in rows], dtype=np.int64),
+        "dur": np.array([r[3][1] for r in rows], dtype=np.int64),
+        "fp": np.full(len(rows), MISSING, dtype=np.int32),
+        "size": np.array([r[3][2] for r in rows], dtype=np.int64),
+        "activity": np.array([r[1] for r in rows], dtype=np.int32),
+    }
+    return EventFrame(pools, columns)

@@ -2,13 +2,15 @@
 
 import networkx as nx
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro._util.errors import ReproError
 from repro.core.activity import END_ACTIVITY, START_ACTIVITY, ActivityLog
 from repro.core.dfg import DFG
 from repro.core.eventlog import EventLog
 from repro.core.mapping import CallTopDirs
+from repro.core.partition import PartitionEL
+from tests.strategies import event_frames
 
 
 @pytest.fixture()
@@ -197,3 +199,27 @@ def test_flow_conservation(ts):
         inflow = sum(dfg.predecessors(activity).values())
         outflow = sum(dfg.successors(activity).values())
         assert inflow == outflow == dfg.node_frequency(activity)
+
+
+@settings(max_examples=200, deadline=None)
+@given(event_frames(), st.booleans())
+def test_columnar_counts_equal_activity_log_route(frame, add_endpoints):
+    """``DFG(EventLog)`` counts from the code columns; the trace-multiset
+    route of ``ActivityLog`` is the reference. Keys, counts and dict
+    order must all agree — on the whole log and on sub-logs that share
+    its pools (with their unused codes)."""
+    log = EventLog(frame, CallTopDirs())
+    cids = log.cids()
+    logs = [log, log.filtered_cids(cids[:1])]
+    if len(cids) > 1:
+        logs.extend(PartitionEL(log, green_cids=cids[:1]))
+    for sub in logs:
+        dfg = DFG(sub, add_endpoints=add_endpoints)
+        ref = ActivityLog.from_event_log(sub, add_endpoints=add_endpoints)
+        assert list(dfg._edges.items()) == \
+            list(ref.directly_follows_counts().items())
+        assert list(dfg._node_freq.items()) == \
+            list(ref.activity_frequencies().items())
+        assert all(type(count) is int
+                   for count in [*dfg._edges.values(),
+                                 *dfg._node_freq.values()])

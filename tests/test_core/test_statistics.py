@@ -1,11 +1,68 @@
 """Activity statistics rd_f / b_f / dr̄_f / mc_f (Sec. IV-B)."""
 
+import dataclasses
+import json
+import math
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro._util.errors import ReproError
 from repro.core.eventlog import EventLog
+from repro.core.frame import MISSING
 from repro.core.mapping import CallTopDirs
-from repro.core.statistics import IOStatistics
+from repro.core.statistics import (
+    IOStatistics,
+    StatsAccumulator,
+    _exact_sum_many,
+    _exact_sum_step,
+)
+from tests.strategies import SMALL_TIMINGS, event_frames
+
+#: Row timings at the edges of the Eq. 13 rate range: 2⁶²-byte
+#: transfers in 1 µs next to 1-byte transfers over ~2⁶² µs, so rate
+#: sums span ~2¹⁶⁰ and need several ``fsum`` passes to fold exactly,
+#: and byte/duration sums leave the int64 range.
+EXTREME_TIMINGS = st.one_of(
+    SMALL_TIMINGS,
+    st.tuples(st.integers(min_value=0, max_value=10**6), st.just(1),
+              st.integers(min_value=2**61, max_value=2**62 - 1)),
+    st.tuples(st.integers(min_value=0, max_value=10**6),
+              st.integers(min_value=2**61, max_value=2**62),
+              st.just(1)))
+
+
+def feed_rows(accumulator: StatsAccumulator, frame) -> StatsAccumulator:
+    """Fold a frame one row at a time through ``feed_event`` — the
+    live road, in frame order."""
+    pools = frame.pools
+    for row in range(len(frame)):
+        code = int(frame.column("activity")[row])
+        if code == MISSING:
+            continue
+        dur = int(frame.column("dur")[row])
+        size = int(frame.column("size")[row])
+        accumulator.feed_event(
+            pools.activities.decode(code),
+            pools.cases.decode(int(frame.column("case")[row])),
+            rid=int(frame.column("rid")[row]),
+            start_us=int(frame.column("start")[row]),
+            dur_us=None if dur == MISSING else dur,
+            size=None if size == MISSING else size)
+    return accumulator
+
+
+def exact_total(values) -> Fraction:
+    """The exact rational sum of some floats."""
+    return sum(map(Fraction, values), Fraction(0))
+
+
+def stats_bits(stats: IOStatistics) -> list[tuple]:
+    """Every ``ActivityStats`` field with floats as their exact hex."""
+    return [tuple(v.hex() if isinstance(v, float) else v
+                  for v in dataclasses.astuple(stats[a]))
+            for a in stats.activities()]
 
 
 @pytest.fixture()
@@ -207,32 +264,13 @@ class TestStatsAccumulator:
         """Feeding one event at a time (the live road) produces
         field-identical statistics to the vectorized frame feed (the
         batch road) — floats included, no approx."""
-        from repro.core.frame import MISSING
-        from repro.core.statistics import StatsAccumulator
-
         log = self._mapped_log(fig1_dir)
-        frame = log.frame
-        pools = frame.pools
+        pools = log.frame.pools
         case_order = [pools.cases.decode(c)
                       for c in range(len(pools.cases))]
         batch = IOStatistics(log)
-
-        fed = StatsAccumulator()
-        activity_col = frame.column("activity")
-        for row in range(len(frame)):
-            code = int(activity_col[row])
-            if code == MISSING:
-                continue
-            dur = int(frame.column("dur")[row])
-            size = int(frame.column("size")[row])
-            fed.feed_event(
-                pools.activities.decode(code),
-                pools.cases.decode(int(frame.column("case")[row])),
-                rid=int(frame.column("rid")[row]),
-                start_us=int(frame.column("start")[row]),
-                dur_us=None if dur == MISSING else dur,
-                size=None if size == MISSING else size)
-        live = fed.statistics(case_order=case_order)
+        live = feed_rows(StatsAccumulator(), log.frame) \
+            .statistics(case_order=case_order)
         assert live.activities() == batch.activities()
         assert live.total_duration_us == batch.total_duration_us
         for activity in batch.activities():
@@ -240,9 +278,42 @@ class TestStatsAccumulator:
             assert live.timeline(activity) == \
                 batch.timeline(activity), activity
 
-    def test_state_roundtrip(self, fig1_dir):
-        from repro.core.statistics import StatsAccumulator
+    @settings(max_examples=150, deadline=None)
+    @given(frame=event_frames(max_cases=10, max_activities=16,
+                              max_rows=80, timings=EXTREME_TIMINGS),
+           window=st.sampled_from([None, 2, 3]))
+    def test_frame_feed_equals_event_feed_on_random_frames(self, frame,
+                                                           window):
+        """The group fold of ``feed_frame`` equals per-event
+        ``feed_event`` on any frame: floats bit-equal, int sums past
+        int64, window coarsening, timelines and ``approximate``; and
+        the fed state survives a JSON ``to_state``/``from_state``."""
+        frame = EventLog(frame).frame
+        pools = frame.pools
+        case_order = [pools.cases.decode(c)
+                      for c in range(len(pools.cases))]
+        fed = StatsAccumulator(window=window).feed_frame(frame)
+        batch = fed.statistics(case_order=case_order)
+        live_acc = feed_rows(StatsAccumulator(window=window), frame)
+        live = live_acc.statistics(case_order=case_order)
+        revived = StatsAccumulator.from_state(
+            json.loads(json.dumps(fed.to_state())), window=window) \
+            .statistics(case_order=case_order)
+        assert batch.activities() == live.activities()
+        assert batch.total_duration_us == live.total_duration_us
+        for activity in batch.activities():
+            # Both roads' partials sum exactly to the true rate total,
+            # so later events keep folding exactly on either.
+            assert exact_total(
+                fed._activities[activity]._rate_partials) == \
+                exact_total(live_acc._activities[activity]._rate_partials)
+        for other in (live, revived):
+            assert stats_bits(other) == stats_bits(batch)
+            for activity in batch.activities():
+                assert other.timeline(activity) == \
+                    batch.timeline(activity), activity
 
+    def test_state_roundtrip(self, fig1_dir):
         log = self._mapped_log(fig1_dir)
         accumulator = StatsAccumulator().feed_frame(log.frame)
         revived = StatsAccumulator.from_state(accumulator.to_state())
@@ -255,8 +326,6 @@ class TestStatsAccumulator:
     def test_default_case_order_is_lexicographic(self, fig1_dir):
         """Without an explicit order the flat-directory layout (case
         ids sorted) matches the frame interning order."""
-        from repro.core.statistics import StatsAccumulator
-
         log = self._mapped_log(fig1_dir)
         accumulator = StatsAccumulator().feed_frame(log.frame)
         batch = IOStatistics(log)
@@ -264,3 +333,36 @@ class TestStatsAccumulator:
         for activity in batch.activities():
             assert implicit.timeline(activity) == \
                 batch.timeline(activity)
+
+
+class TestExactSum:
+    """The Eq. 13 rate sum folds exactly, one value or many at once."""
+
+    def test_multi_pass_fold_is_exact(self):
+        """Each term is below half an ulp of the running total, so
+        every ``fsum`` pass leaves a remainder for the next."""
+        values = [1.0, 2.0 ** -60, 2.0 ** -120, 2.0 ** -180, 2.0 ** -240]
+        partials: list[float] = []
+        _exact_sum_many(partials, values)
+        assert len(partials) == len(values)
+        assert exact_total(partials) == exact_total(values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(min_value=-1e300, max_value=1e300,
+                              allow_nan=False), max_size=6),
+           st.lists(st.floats(min_value=-1e300, max_value=1e300,
+                              allow_nan=False)))
+    def test_many_equals_stepping_each_value(self, before, values):
+        """Folding a batch keeps the partials summing exactly to the
+        true total, so ``fsum`` of them is what per-value stepping
+        gives — bit for bit."""
+        stepped: list[float] = []
+        for value in before:
+            _exact_sum_step(stepped, value)
+        batched = list(stepped)
+        for value in values:
+            _exact_sum_step(stepped, value)
+        _exact_sum_many(batched, values)
+        assert exact_total(batched) == exact_total(before) + \
+            exact_total(values)
+        assert math.fsum(batched).hex() == math.fsum(stepped).hex()

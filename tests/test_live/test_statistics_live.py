@@ -169,6 +169,22 @@ class TestLiveStatisticsEqualBatch:
         assert live["read:/f"].dr_label is not None
         assert_stats_equal(live, batch_statistics(tmp_path))
 
+    def test_byte_and_duration_sums_past_int64_do_not_wrap(self,
+                                                           tmp_path):
+        """Three 2⁶²-byte reads sum past the int64 range: the batch
+        group fold must add them exactly, as the live road's Python
+        ints do, instead of wrapping to a negative total."""
+        size = 1 << 62
+        (tmp_path / "app_h1_0.st").write_bytes(b"".join(
+            b"100  10:00:00.00000%d read(3</tmp/x>, \"a\", %d) = %d "
+            b"<0.000001>\n" % (i, size, size) for i in range(1, 4)))
+        engine = LiveIngest(tmp_path)
+        engine.poll()
+        engine.finalize()
+        batch = batch_statistics(tmp_path)
+        assert batch["read:/tmp/x"].total_bytes == 3 * size
+        assert_stats_equal(engine.statistics(), batch)
+
 
 class TestCheckpointStateRoundtrip:
     def test_statistics_survive_json_roundtrip_exactly(self, tmp_path,

@@ -1,5 +1,7 @@
 """Self-contained SVG and ASCII rendering."""
 
+import re
+
 import pytest
 
 from repro.core.activity import END_ACTIVITY, START_ACTIVITY
@@ -10,7 +12,7 @@ from repro.core.mapping import CallTopDirs
 from repro.core.partition import PartitionEL
 from repro.core.render.ascii import render_ascii
 from repro.core.render.svg import render_svg
-from repro.core.statistics import IOStatistics
+from repro.core.statistics import IOStatistics, StatsAccumulator
 
 
 @pytest.fixture()
@@ -102,3 +104,58 @@ class TestAscii:
         counts = [int(l.split("-[")[1].split("]")[0])
                   for l in edge_lines]
         assert counts == sorted(counts, reverse=True)
+
+
+def counted_stats(counts: dict[str, int]) -> IOStatistics:
+    """Statistics where activity ``a`` has ``counts[a]`` events."""
+    accumulator = StatsAccumulator()
+    for activity, n in counts.items():
+        for i in range(n):
+            accumulator.feed_event(activity, "c0", rid=0, start_us=i,
+                                   dur_us=1, size=None)
+    return accumulator.statistics()
+
+
+def chain_dfg(activities: list[str]) -> DFG:
+    """● → a0 → a1 → … → ■ with unit counts."""
+    path = [START_ACTIVITY, *activities, END_ACTIVITY]
+    return DFG.from_counts({edge: 1 for edge in zip(path, path[1:])})
+
+
+class TestAsciiStatisticsBars:
+    def test_metric_calls_stay_linear(self, monkeypatch):
+        """The bar peak is computed once per render, not once per node:
+        at most one ``metric`` call per activity for the peak and one
+        per rendered node."""
+        n = 600
+        activities = [f"a{i}" for i in range(n)]
+        stats = counted_stats({a: 1 + i % 7
+                               for i, a in enumerate(activities)})
+        coloring = StatisticsColoring(stats, metric="event_count")
+        calls = 0
+        metric = IOStatistics.metric
+
+        def spy(self, activity, name):
+            nonlocal calls
+            calls += 1
+            return metric(self, activity, name)
+
+        monkeypatch.setattr(IOStatistics, "metric", spy)
+        text = render_ascii(chain_dfg(activities), stats, coloring)
+        assert calls <= 2 * n + 2
+        assert len(re.findall(r" \|[#.]{20}\|$", text, re.M)) == n
+
+    def test_bars_match_hand_computed_widths(self):
+        """event_count 8 / 3 / 1 against a peak of 8 on a 20-wide bar:
+        20, round(7.5) = 8 and round(2.5) = 2 filled cells."""
+        stats = counted_stats({"big": 8, "mid": 3, "low": 1})
+        text = render_ascii(chain_dfg(["big", "mid", "low"]), stats,
+                            StatisticsColoring(stats, metric="event_count"))
+        bars = {line.split()[0]: line[line.index(" |"):]
+                for line in text.splitlines()
+                if line.startswith("  ") and " |" in line}
+        assert bars == {
+            "big": " |" + "#" * 20 + "|",
+            "mid": " |" + "#" * 8 + "." * 12 + "|",
+            "low": " |" + "#" * 2 + "." * 18 + "|",
+        }
