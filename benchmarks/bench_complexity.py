@@ -9,13 +9,18 @@ generous to absorb allocator noise). A second sweep fixes the events
 per activity and grows the activity count m instead: the DFG count,
 the statistics pass and the ASCII render must stay linear in m too
 (the render once computed its bar scale per node, which is O(m²)).
+A third check grows one live watch to a long history and times a
+checkpoint save after a poll that touched one case: the encoding is
+O(delta), so the save must not grow with the history at its rate.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro._util import durable
 from repro.core.activity import ActivityLog, START_ACTIVITY, END_ACTIVITY
 from repro.core.coloring import StatisticsColoring
 from repro.core.dfg import DFG
@@ -25,6 +30,7 @@ from repro.core.mapping import CallTopDirs
 from repro.core.render.ascii import render_ascii
 from repro.core.render.dot import render_dot
 from repro.core.statistics import IOStatistics
+from repro.live.engine import LiveIngest
 
 from conftest import paper_vs_measured
 
@@ -180,3 +186,58 @@ def test_analysis_linear_in_activities():
          f"≈{size_ratio:.0f}", f"{ratio:.1f}") for stage, ratio in rows])
     for stage, ratio in rows:
         assert ratio < 3 * size_ratio, stage
+
+
+SAVE_CASES = 16
+#: Events per case before the timed saves: short vs long history.
+SAVE_HISTORY = (100, 3200)
+
+
+def _append_reads(path: Path, first: int, count: int) -> None:
+    """Append ``count`` read events (every 100 us, over four files)."""
+    with open(path, "a", encoding="utf-8") as handle:
+        for i in range(first, first + count):
+            us = i * 100
+            handle.write(
+                f"4242  10:00:{us // 1_000_000:02d}.{us % 1_000_000:06d}"
+                f" read(3</data/d{i % 4}/f>, ..., 4096) = 4096"
+                f" <0.000010>\n")
+
+
+def _delta_save_seconds(directory: Path, history: int) -> float:
+    """Best-of-7 save time after a one-case poll, at ``history``
+    events per case (the first save, which encodes everything, is
+    not timed)."""
+    traces = directory / "traces"
+    traces.mkdir(parents=True)
+    paths = [traces / f"run_node01_{rid}.st" for rid in range(SAVE_CASES)]
+    for path in paths:
+        _append_reads(path, 0, history)
+    engine = LiveIngest(traces, checkpoint=directory / "ckpt.json")
+    engine.poll()
+    engine.save_checkpoint()
+    best = float("inf")
+    for step in range(7):
+        _append_reads(paths[0], history + step, 1)
+        engine.poll()
+        best = min(best, _timed(engine.save_checkpoint))
+    return best
+
+
+@pytest.mark.bench
+def test_checkpoint_save_tracks_delta(tmp_path, monkeypatch):
+    """A save after a poll that touched one case costs far less than
+    the history ratio more at a long history: only the changed
+    timeline is re-encoded. The durable write is stubbed out — it is
+    a copy of the whole sidecar to disk in any design, O(sidecar
+    bytes), and its fsync would drown the encoding in disk noise."""
+    monkeypatch.setattr(durable, "write_bytes", lambda target, data: None)
+    small_h, large_h = SAVE_HISTORY
+    history_ratio = large_h / small_h
+    small = _delta_save_seconds(tmp_path / "small", small_h)
+    large = _delta_save_seconds(tmp_path / "large", large_h)
+    ratio = large / small
+    paper_vs_measured("Live checkpoint save encoding is O(delta)", [
+        (f"save time ratio for {history_ratio:.0f}x history",
+         f"<{history_ratio / 4:.0f}", f"{ratio:.1f}")])
+    assert ratio < history_ratio / 4

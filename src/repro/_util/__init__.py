@@ -15,6 +15,10 @@ across the library:
   max-concurrency sweep-line (Eq. 16 of the paper).
 - :mod:`repro._util.strings` — interned string pools backing the
   columnar :class:`~repro.core.frame.EventFrame`.
+- :mod:`repro._util.durable` — the one durable-write sequence (temp
+  fsync → replace → directory fsync) behind every live rewrite.
+- :mod:`repro._util.jsontext` — compact sorted-key JSON spliced from
+  pre-encoded members (the checkpoint sidecar's O(delta) encoding).
 """
 
 from repro._util.errors import (

@@ -77,6 +77,7 @@ import numpy as np
 
 from repro._util.errors import ReproError
 from repro._util.intervals import max_concurrency
+from repro._util.jsontext import object_parts
 from repro._util.sizes import format_bytes, format_rate
 from repro.core.frame import MISSING
 
@@ -211,12 +212,17 @@ class ActivityAccumulator:
     past the cap is coarsened in place (adjacent intervals merged
     pairwise), after which :attr:`approximate` latches True — the
     concurrency sweep and the timeline then describe merged spans.
+
+    For checkpoint saves, the JSON of every per-case timeline is cached
+    as ``(length, bytes)``: a buffer that only grew since the last save
+    encodes just its new intervals (:meth:`state_parts`). Coarsening
+    rewrites a buffer in place, so it drops that buffer's cached JSON.
     """
 
     __slots__ = ("activity", "window", "event_count", "dur_sum",
                  "bytes_sum", "has_transfers", "approximate", "rids",
                  "rate_count", "_rate_partials", "_case_timelines",
-                 "_dirty", "_view_key", "_view")
+                 "_timeline_texts", "_dirty", "_view_key", "_view")
 
     def __init__(self, activity: str,
                  window: int | None = None) -> None:
@@ -237,6 +243,9 @@ class ActivityAccumulator:
         #: case id -> [(start_us, end_us), ...] in sealed event order
         #: (coarsened in place once ``window`` is exceeded).
         self._case_timelines: dict[str, list[tuple[int, int]]] = {}
+        #: case id -> (buffer length encoded, its intervals as JSON
+        #: bytes without the enclosing brackets).
+        self._timeline_texts: dict[str, tuple[int, bytes]] = {}
         self._dirty = True
         self._view_key: tuple[str, ...] = ()
         self._view: tuple[int, float | None] = (0, None)
@@ -267,7 +276,7 @@ class ActivityAccumulator:
         buffer = self._case_timelines.setdefault(case_id, [])
         buffer.append((start_us, end))
         if self.window is not None and len(buffer) > self.window:
-            self._coarsen(buffer)
+            self._coarsen(case_id, buffer)
         self._dirty = True
 
     def add_group(self, case_ids: list[str], bounds: list[int], *,
@@ -308,12 +317,13 @@ class ActivityAccumulator:
             for interval in intervals[lo:hi]:
                 buffer.append(interval)
                 if len(buffer) > window:
-                    self._coarsen(buffer)
+                    self._coarsen(case_id, buffer)
         self._dirty = True
 
-    def _coarsen(self, buffer: list[tuple[int, int]]) -> None:
-        """Merge adjacent intervals pairwise until the buffer fits the
-        window again.
+    def _coarsen(self, case_id: str,
+                 buffer: list[tuple[int, int]]) -> None:
+        """Merge adjacent intervals pairwise until ``case_id``'s buffer
+        fits the window again (dropping its cached JSON text).
 
         Starts stay sorted (each merged interval keeps the earlier
         start) and every original interval lies inside some merged one,
@@ -327,6 +337,7 @@ class ActivityAccumulator:
                  max(buffer[i][1], buffer[i + 1][1])
                  if i + 1 < len(buffer) else buffer[i][1])
                 for i in range(0, len(buffer), 2)]
+        self._timeline_texts.pop(case_id, None)
         self.approximate = True
 
     # -- assembled view ----------------------------------------------------
@@ -379,6 +390,42 @@ class ActivityAccumulator:
                     for start, end in buffer[:length]]
 
         return materialize
+
+    # -- checkpoint state --------------------------------------------------
+
+    def _scalar_state(self) -> dict:
+        """The checkpoint state of everything but the timelines."""
+        return {
+            "event_count": self.event_count,
+            "dur_sum": self.dur_sum,
+            "bytes_sum": self.bytes_sum,
+            "has_transfers": self.has_transfers,
+            "approximate": self.approximate,
+            "rids": sorted(self.rids),
+            "rate_count": self.rate_count,
+            "rate_partials": list(self._rate_partials),
+        }
+
+    def state_parts(self) -> list[bytes]:
+        """This accumulator's :meth:`StatsAccumulator.to_state` entry
+        as compact sorted-key JSON byte fragments.
+
+        Scalars are encoded fresh (O(1) per activity); each timeline
+        reuses its cached JSON and encodes only the intervals appended
+        since the last call.
+        """
+        texts = self._timeline_texts
+        cases = {}
+        for case, rows in self._case_timelines.items():
+            length, text = texts.get(case, (0, b""))
+            if length != len(rows):
+                tail = ",".join(
+                    f"[{s},{e}]" for s, e in rows[length:]).encode()
+                text = b"%b,%b" % (text, tail) if text else tail
+                texts[case] = (len(rows), text)
+            cases[case] = [b'{"timeline":[', text, b"]}"]
+        return object_parts(self._scalar_state(),
+                            {"cases": object_parts({}, cases)})
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ActivityAccumulator({self.activity!r}, "
@@ -483,9 +530,9 @@ class StatsAccumulator:
             acc.window = window
             if window is None:
                 continue
-            for buffer in acc._case_timelines.values():
+            for case_id, buffer in acc._case_timelines.items():
                 if len(buffer) > window:
-                    acc._coarsen(buffer)
+                    acc._coarsen(case_id, buffer)
                     acc._dirty = True
 
     def _accumulator(self, activity: str) -> ActivityAccumulator:
@@ -597,14 +644,7 @@ class StatsAccumulator:
         return {
             "activities": {
                 activity: {
-                    "event_count": acc.event_count,
-                    "dur_sum": acc.dur_sum,
-                    "bytes_sum": acc.bytes_sum,
-                    "has_transfers": acc.has_transfers,
-                    "approximate": acc.approximate,
-                    "rids": sorted(acc.rids),
-                    "rate_count": acc.rate_count,
-                    "rate_partials": list(acc._rate_partials),
+                    **acc._scalar_state(),
                     "cases": {
                         case: {"timeline": [[s, e] for s, e in rows]}
                         for case, rows
@@ -614,6 +654,22 @@ class StatsAccumulator:
                 for activity, acc in sorted(self._activities.items())
             },
         }
+
+    def encode_state(self) -> str:
+        """Exactly ``json.dumps(self.to_state(), sort_keys=True,
+        separators=(",", ":"))`` — the sidecar's ``stats`` text."""
+        return b"".join(self.state_parts()).decode()
+
+    def state_parts(self) -> list[bytes]:
+        """:meth:`encode_state` as UTF-8 fragments, at O(activities +
+        cases + intervals appended since the last call) encoding cost:
+        the per-timeline JSON is cached across calls
+        (:meth:`ActivityAccumulator.state_parts`), so only joining the
+        fragments touches the whole section.
+        """
+        activities = {activity: acc.state_parts()
+                      for activity, acc in self._activities.items()}
+        return object_parts({}, {"activities": object_parts({}, activities)})
 
     @classmethod
     def from_state(cls, state: dict,
@@ -643,7 +699,7 @@ class StatsAccumulator:
                           for s, e in case_state["timeline"]]
                 acc._case_timelines[str(case)] = buffer
                 if window is not None and len(buffer) > window:
-                    acc._coarsen(buffer)
+                    acc._coarsen(str(case), buffer)
                 for rate in case_state.get("rates", ()):
                     _exact_sum_step(acc._rate_partials, float(rate))
                     acc.rate_count += 1

@@ -44,7 +44,8 @@ starts empty on a pre-alerting sidecar, and v3's per-case rate lists
 fold losslessly into v4's exact partial sums (the exact sum is
 order-independent); the next save writes v4.
 
-Durability. The sidecar is written atomically *and* durably: the temp
+Durability. The sidecar is written atomically *and* durably through
+the one durable-write sequence (:mod:`repro._util.durable`): the temp
 file is fsynced before ``os.replace`` and the directory is fsynced
 after, so a crash or power loss at any point surfaces either the
 previous complete sidecar or the new complete sidecar — never a torn
@@ -52,6 +53,16 @@ or empty one. A stale ``*.tmp`` from a kill between write and replace
 is removed on the next load. File paths are stored relative to the
 trace directory, so a checkpoint travels with the directory (e.g.
 onto another node of the cluster).
+
+Cost. The sidecar is ``json.dumps(engine_state(engine),
+sort_keys=True, separators=(",", ":"))``, byte for byte, but a save
+does not build that dict: the small sections (files, dfg, alerts,
+telemetry, counters) are encoded fresh and the statistics text — the
+bulk of a long watch's sidecar — is assembled from per-timeline
+fragments cached across saves
+(:meth:`~repro.core.statistics.StatsAccumulator.state_parts`).
+Encoding is O(changed timelines + tails + activities); the write is
+still O(sidecar bytes).
 """
 
 from __future__ import annotations
@@ -63,7 +74,9 @@ import os
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from repro._util import durable
 from repro._util.errors import ReproError
+from repro._util.jsontext import object_parts
 from repro.core.incremental import IncrementalDFG
 from repro.core.statistics import StatsAccumulator
 from repro.live.tail import FileTail
@@ -97,26 +110,38 @@ CHECKPOINT_VERSION = 6
 _LOADABLE_VERSIONS = frozenset({2, 3, 4, 5, CHECKPOINT_VERSION})
 
 
+#: :class:`MergeStats` field names, in declaration order.
+_MERGE_STATS_FIELDS = tuple(
+    field.name for field in dataclasses.fields(MergeStats))
+
+
 def _record_to_state(record: ParsedRecord) -> dict:
-    state = dataclasses.asdict(record)
-    state["args"] = list(state["args"])
-    return state
+    """A record as JSON data (sidecar merge buffers, emit journal):
+    ``dataclasses.asdict`` with ``args`` as a list, read field by field
+    instead of through the recursive deep copy."""
+    return {"pid": record.pid, "start_us": record.start_us,
+            "call": record.call, "fp": record.fp, "size": record.size,
+            "dur_us": record.dur_us, "retval": record.retval,
+            "errno": record.errno, "requested": record.requested,
+            "args": list(record.args)}
 
 
 def _record_from_state(state: dict) -> ParsedRecord:
     return ParsedRecord(**{**state, "args": tuple(state["args"])})
 
 
-def _tail_to_state(tail: FileTail, directory: Path) -> dict:
+def _tail_to_state(tail: FileTail, relative_path: str) -> dict:
+    stats = tail.merger.stats
     return {
-        "path": tail.path.relative_to(directory).as_posix(),
+        "path": relative_path,
         "cid": tail.name.cid,
         "host": tail.name.host,
         "rid": tail.name.rid,
         "offset": tail.offset,
         "carry": base64.b64encode(tail.decoder.carry).decode("ascii"),
         "lineno": tail.decoder.lineno,
-        "stats": dataclasses.asdict(tail.merger.stats),
+        "stats": {name: getattr(stats, name)
+                  for name in _MERGE_STATS_FIELDS},
         "pending": [{"pid": token.pid, "start_us": token.start_us,
                      "body": token.body}
                     for token in tail.merger.pending_tokens()],
@@ -152,11 +177,23 @@ def _tail_from_state(state: dict, directory: Path,
 def engine_state(engine: "LiveIngest") -> dict:
     """The full resumable state of a :class:`LiveIngest`, as JSON data.
 
+    The reference for :func:`save_checkpoint`, which writes exactly
+    ``json.dumps(engine_state(engine), sort_keys=True,
+    separators=(",", ":"))`` without building this dict.
+
     When an emit journal is attached, it is fsynced *here* and the
     durable offset recorded — the sidecar must never account for
     records the journal does not durably hold (the restore path
     truncates the journal back to this offset).
     """
+    state = _sections(engine)
+    state["stats"] = engine.stats.to_state()
+    return state
+
+
+def _sections(engine: "LiveIngest") -> dict:
+    """Every sidecar section except ``stats``; fsyncs the emit
+    journal first (see :func:`engine_state`)."""
     emit_offset = (engine.emit_journal.sync()
                    if engine.emit_journal is not None else None)
     emit_packed = (engine.emit_journal.packed_offset
@@ -172,10 +209,10 @@ def engine_state(engine: "LiveIngest") -> dict:
         "total_events": engine.total_events,
         "emit_offset": emit_offset,
         "emit_packed": emit_packed,
-        "files": [_tail_to_state(engine._tails[path], engine.directory)
+        "files": [_tail_to_state(engine._tails[path],
+                                 engine._relative_paths[path])
                   for path in sorted(engine._tails)],
         "dfg": engine.incremental.to_state(),
-        "stats": engine.stats.to_state(),
         "alerts": _alert_state(engine),
         "telemetry": _telemetry_state(engine),
     }
@@ -283,8 +320,7 @@ def restore_engine(engine: "LiveIngest", state: dict) -> None:
     for tail_state in state["files"]:
         tail = _tail_from_state(tail_state, engine.directory,
                                 engine.strict)
-        engine._tails[tail.path] = tail
-        engine._case_paths[tail.name.case_id] = tail.path
+        engine._register_tail(tail)
         tail.telemetry = engine.telemetry
 
 
@@ -292,40 +328,26 @@ def save_checkpoint(engine: "LiveIngest",
                     path: str | os.PathLike[str]) -> Path:
     """Serialize the engine atomically *and durably* to ``path``.
 
-    The temp file is fsynced before ``os.replace`` and the directory
-    entry is fsynced after: a crash or power loss at any instant of
-    this function leaves either the previous complete sidecar or the
-    new complete one on disk — never a zero-length or torn file
-    (``os.replace`` alone guarantees only name atomicity, not that the
-    replacing *contents* reached the platter). Pinned by the
-    crash-consistency tests in ``tests/test_live``.
+    Written through :func:`repro._util.durable.write_bytes` (temp
+    fsync → ``os.replace`` → directory fsync): a crash or power loss
+    at any instant of this function leaves either the previous
+    complete sidecar or the new complete one on disk — never a
+    zero-length or torn file. Pinned by the crash-consistency tests
+    in ``tests/test_live``.
 
-    Cost: O(accumulated state), not O(delta) — each save rewrites the
-    whole sidecar (compactly — no whitespace). The interval buffers
-    dominate; bound them with ``LiveIngest(window=...)`` for week-long
-    watches, and bound a chatty alert history with the rules file's
-    ``history_limit``.
+    The bytes are exactly ``json.dumps(engine_state(engine),
+    sort_keys=True, separators=(",", ":"))``. Cost: encoding is
+    O(changed timelines + tails + activities) — the statistics text is
+    spliced from per-timeline fragments cached across saves — and the
+    write is still O(sidecar bytes), since each save rewrites the
+    whole sidecar. The interval buffers dominate its size; bound them
+    with ``LiveIngest(window=...)`` for week-long watches, and bound a
+    chatty alert history with the rules file's ``history_limit``.
     """
     target = Path(path)
-    payload = json.dumps(engine_state(engine), sort_keys=True,
-                         separators=(",", ":"))
-    temp = target.with_name(target.name + ".tmp")
-    with open(temp, "w", encoding="utf-8") as handle:
-        handle.write(payload)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temp, target)
-    _fsync_directory(target.parent)
+    durable.write_bytes(target, b"".join(object_parts(
+        _sections(engine), {"stats": engine.stats.state_parts()})))
     return target
-
-
-def _fsync_directory(directory: Path) -> None:
-    """Flush a directory entry (the rename) to stable storage."""
-    fd = os.open(directory, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 def load_checkpoint(engine: "LiveIngest",

@@ -59,7 +59,10 @@ import os
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from repro._util import durable
 from repro._util.errors import ReproError
+from repro._util.jsontext import encode
+from repro.live.checkpoint import _record_from_state, _record_to_state
 from repro.strace.naming import TraceFileName
 from repro.telemetry.spans import NULL_TELEMETRY
 
@@ -69,26 +72,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Journal header format written by compaction (headerless = format 1).
 JOURNAL_FORMAT = 2
-
-
-def _fsync_handle(handle) -> None:
-    """Durability seam: fsync an open file (fault-injection target)."""
-    os.fsync(handle.fileno())
-
-
-def _replace(source: Path, dest: Path) -> None:
-    """Durability seam: atomic rename (fault-injection target)."""
-    os.replace(source, dest)
-
-
-def _fsync_directory(path: Path) -> None:
-    """Durability seam: fsync a directory so a rename survives power
-    loss (fault-injection target, independent of the checkpoint's)."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 def _records_from_columns(data: dict, pools: dict,
@@ -196,15 +179,12 @@ class EmitJournal:
     def append(self, name: TraceFileName,
                records: "list[ParsedRecord]") -> None:
         """Journal one sealed batch of one case (buffered)."""
-        from repro.live.checkpoint import _record_to_state
-
         if self._handle is None:
             self._load_state()
             self._handle = open(self.journal_path, "ab")
-        line = json.dumps(
+        line = encode(
             {"cid": name.cid, "host": name.host, "rid": name.rid,
-             "records": [_record_to_state(r) for r in records]},
-            sort_keys=True, separators=(",", ":"))
+             "records": [_record_to_state(r) for r in records]})
         self._handle.write(line.encode("utf-8") + b"\n")
 
     def sync(self) -> int:
@@ -288,8 +268,6 @@ class EmitJournal:
 
     def _apply_line(self, cases: dict, raw: bytes) -> None:
         data = json.loads(raw)
-        from repro.live.checkpoint import _record_from_state
-
         name = TraceFileName(cid=data["cid"], host=data["host"],
                              rid=int(data["rid"]))
         entry = cases.setdefault(name.case_id, (name, []))
@@ -376,10 +354,7 @@ class EmitJournal:
                 name, records = replayed[case_id]
                 writer.add_case_records(name, records)
                 counts[case_id] = len(records)
-        with open(tmp, "rb") as handle:
-            _fsync_handle(handle)
-        _replace(tmp, dest)
-        _fsync_directory(dest.parent)
+        durable.commit(tmp, dest)
         return counts
 
     def pack(self, engine: "LiveIngest") -> Path:
@@ -436,16 +411,8 @@ class EmitJournal:
              "cases": counts},
             sort_keys=True, separators=(",", ":")).encode("utf-8") \
             + b"\n"
-        tmp = self.journal_path.with_name(
-            self.journal_path.name + ".tmp")
-        with open(tmp, "wb") as handle:
-            handle.write(header)
-            handle.write(remainder)
-            handle.flush()
-            _fsync_handle(handle)
         self.close()  # reopened lazily at the next append
-        _replace(tmp, self.journal_path)
-        _fsync_directory(self.journal_path.parent)
+        durable.write_bytes(self.journal_path, header + remainder)
         self._base = up_to
         self._header_len = len(header)
         self._packed_cases = counts

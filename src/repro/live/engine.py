@@ -248,6 +248,8 @@ class LiveIngest:
         self.restored = False
         self._tails: dict[Path, FileTail] = {}
         self._case_paths: dict[str, Path] = {}
+        #: path -> directory-relative POSIX path (the checkpoint's key).
+        self._relative_paths: dict[Path, str] = {}
         self._records: dict[str, list[ParsedRecord]] = {}
         # Per-(call, fp) activity memo for call/fp-only mappings — the
         # live analogue of the batch broadcast in eventlog._apply_mapping.
@@ -402,11 +404,17 @@ class LiveIngest:
         if tail is None:
             tail = FileTail(path, name, strict=self.strict,
                             telemetry=self.telemetry)
-            self._tails[path] = tail
-            self._case_paths[name.case_id] = path
+            self._register_tail(tail)
             result.new_files.append(name.case_id)
             self.telemetry.count("files_discovered_total")
         return tail
+
+    def _register_tail(self, tail: FileTail) -> None:
+        """Follow ``tail`` from now on (discovered or restored)."""
+        self._tails[tail.path] = tail
+        self._case_paths[tail.name.case_id] = tail.path
+        self._relative_paths[tail.path] = \
+            tail.path.relative_to(self.directory).as_posix()
 
     def _fill_result(self, result: PollResult) -> None:
         result.n_files = len(self._tails)

@@ -8,7 +8,7 @@ never torn. This module is that adversary, extracted from the ad-hoc
 copies that grew in ``test_live``/``test_alerts``/``test_catalog``:
 
 - :func:`kill_call` — generic nth-call kill switch for a module-level
-  seam (``os.fsync``, ``os.replace``, a ``_fsync_directory`` helper).
+  seam, optionally counting only calls made inside one operation.
 - :func:`kill_checkpoint_at` / :data:`CHECKPOINT_KILL_POINTS` — the
   checkpoint save steps (temp fsync → replace → dir fsync).
 - :func:`kill_compaction_at` / :data:`COMPACTION_KILL_POINTS` — the
@@ -22,6 +22,12 @@ copies that grew in ``test_live``/``test_alerts``/``test_catalog``:
 - :func:`tear_tail` — torn-write simulation (drop the last N bytes of
   a file, as a crash mid-write would).
 
+The checkpoint and compaction kill points target the same three
+seams of :mod:`repro._util.durable` — the one durable-write sequence
+every rewriter goes through — scoped to the operation under test, so
+an attached emit journal's own fsyncs (or a checkpoint save ahead of
+a compaction) can never consume the kill.
+
 The kill is an ``OSError`` so production code cannot accidentally
 catch it as a domain error; tests assert ``pytest.raises(OSError)``
 around the killed operation.
@@ -33,8 +39,9 @@ import threading
 import time
 from pathlib import Path
 
+from repro._util import durable
 from repro.live import checkpoint as checkpoint_module
-from repro.live import emit as emit_module
+from repro.live.emit import EmitJournal
 
 
 class SimulatedKill(OSError):
@@ -42,25 +49,46 @@ class SimulatedKill(OSError):
 
 
 def kill_call(monkeypatch, module, attr: str, *, nth: int = 1,
-              message: str | None = None):
+              message: str | None = None, within=None):
     """Make the ``nth`` call of ``module.attr`` raise, earlier calls
     passing through to the real implementation.
 
+    ``within=(owner, name)`` counts only the calls made while
+    ``owner.name`` runs (it is wrapped for the duration of the patch);
+    calls from anywhere else pass straight through.
+
     Returns the counting wrapper; its ``.calls`` attribute holds the
-    number of invocations seen (including the killed one), so tests
-    can assert the seam was actually reached.
+    number of counted invocations (including the killed one) and
+    ``.fired`` whether the kill happened, so tests can assert the
+    seam was actually reached.
     """
     real = getattr(module, attr)
     text = message or f"killed at {attr} call #{nth}"
+    scope = {"active": within is None}
 
     def dying(*args, **kwargs):
-        dying.calls += 1
-        if dying.calls == nth:
-            raise SimulatedKill(text)
+        if scope["active"]:
+            dying.calls += 1
+            if dying.calls == nth:
+                dying.fired = True
+                raise SimulatedKill(text)
         return real(*args, **kwargs)
 
     dying.calls = 0
+    dying.fired = False
     monkeypatch.setattr(module, attr, dying)
+    if within is not None:
+        owner, name = within
+        operation = getattr(owner, name)
+
+        def scoped(*args, **kwargs):
+            scope["active"] = True
+            try:
+                return operation(*args, **kwargs)
+            finally:
+                scope["active"] = False
+
+        monkeypatch.setattr(owner, name, scoped)
     return dying
 
 
@@ -81,21 +109,26 @@ def kill_method(monkeypatch, owner, method: str, *,
 #: The durability steps of one checkpoint save, in order.
 CHECKPOINT_KILL_POINTS = ("temp_fsync", "replace", "dir_fsync")
 
+#: Kill point suffix -> the :mod:`repro._util.durable` seam it hits.
+_DURABLE_SEAMS = {"fsync": "fsync_handle", "replace": "replace",
+                  "dir_fsync": "fsync_directory"}
 
-def kill_checkpoint_at(monkeypatch, point: str) -> None:
+
+def kill_checkpoint_at(monkeypatch, point: str):
     """Abort the next checkpoint save at one of its durability steps
-    (see :data:`CHECKPOINT_KILL_POINTS`)."""
-    if point == "temp_fsync":
-        kill_call(monkeypatch, checkpoint_module.os, "fsync",
-                  message="killed during temp fsync")
-    elif point == "replace":
-        kill_call(monkeypatch, checkpoint_module.os, "replace",
-                  message="killed before replace")
-    elif point == "dir_fsync":
-        kill_call(monkeypatch, checkpoint_module, "_fsync_directory",
-                  message="killed before directory fsync")
-    else:  # pragma: no cover - harness misuse
+    (see :data:`CHECKPOINT_KILL_POINTS`); returns the seam wrapper
+    (assert ``.fired`` after the save).
+
+    Only seam calls inside ``save_checkpoint`` count, so the emit
+    journal's ``sync()`` or a compaction after the save never takes
+    the kill meant for the sidecar.
+    """
+    if point not in CHECKPOINT_KILL_POINTS:
         raise ValueError(f"unknown checkpoint kill point {point!r}")
+    return kill_call(monkeypatch, durable,
+                     _DURABLE_SEAMS[point.removeprefix("temp_")],
+                     message=f"killed at checkpoint step {point}",
+                     within=(checkpoint_module, "save_checkpoint"))
 
 
 # -- emit-journal compaction kill points -----------------------------------
@@ -108,27 +141,25 @@ COMPACTION_KILL_POINTS = (
     "elog_fsync", "elog_replace", "elog_dir_fsync",
     "journal_fsync", "journal_replace", "journal_dir_fsync")
 
-_COMPACTION_SEAMS = {"fsync": "_fsync_handle", "replace": "_replace",
-                     "dir_fsync": "_fsync_directory"}
 
-
-def kill_compaction_at(monkeypatch, point: str) -> None:
+def kill_compaction_at(monkeypatch, point: str):
     """Abort the next :meth:`EmitJournal.compact` at one durability
-    step (see :data:`COMPACTION_KILL_POINTS`).
+    step (see :data:`COMPACTION_KILL_POINTS`); returns the seam
+    wrapper (assert ``.fired`` after the operation).
 
     Each seam fires once for the ``.elog`` and once for the journal,
     so the ``journal_*`` points kill the *second* call of their seam.
-    Activate immediately before the operation under test — a
-    ``sync()`` on the way in would consume fsync counts of its own
-    (it uses ``os.fsync`` directly, not the seam, so it does not).
+    Only calls inside ``compact`` count: the checkpoint save that
+    precedes a compaction goes through the same seams untouched.
     """
-    kind = point.removeprefix("elog_").removeprefix("journal_")
-    seam = _COMPACTION_SEAMS.get(kind)
-    if seam is None or point not in COMPACTION_KILL_POINTS:
+    if point not in COMPACTION_KILL_POINTS:
         raise ValueError(f"unknown compaction kill point {point!r}")
+    kind = point.removeprefix("elog_").removeprefix("journal_")
     nth = 1 if point.startswith("elog_") else 2
-    kill_call(monkeypatch, emit_module, seam, nth=nth,
-              message=f"killed at compaction step {point}")
+    return kill_call(monkeypatch, durable, _DURABLE_SEAMS[kind],
+                     nth=nth,
+                     message=f"killed at compaction step {point}",
+                     within=(EmitJournal, "compact"))
 
 
 # -- torn writes -----------------------------------------------------------

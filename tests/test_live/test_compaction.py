@@ -135,9 +135,10 @@ class TestKillDuringCompaction:
         next(reveal)
         engine.poll()
         with monkeypatch.context() as patched:
-            kill_compaction_at(patched, point)
+            seam = kill_compaction_at(patched, point)
             with pytest.raises(SimulatedKill):
                 engine.save_checkpoint()  # compaction #2 dies mid-step
+        assert seam.fired
         # Revive; the journal+elog pair must restore as a partition
         # of the record stream (never a loss, never a duplicate).
         revived = _engine(live_dir, elog, sidecar)

@@ -58,9 +58,10 @@ class TestKillDuringSave:
         engine.poll()  # absorb the new files
         new_state = checkpoint_module.engine_state(engine)
         with monkeypatch.context() as patched:
-            _kill_at(patched, point)
+            seam = _kill_at(patched, point)
             with pytest.raises(OSError):
                 engine.save_checkpoint()
+        assert seam.fired
         # Invariant: the surviving sidecar parses and equals one of
         # the two complete states (which one depends on the point).
         survivor = json.loads(sidecar.read_text())
@@ -82,9 +83,10 @@ class TestKillDuringSave:
         engine = LiveIngest(trace_dir, checkpoint=sidecar)
         engine.poll()
         with monkeypatch.context() as patched:
-            _kill_at(patched, point)
+            seam = _kill_at(patched, point)
             with pytest.raises(OSError):
                 engine.save_checkpoint()
+        assert seam.fired
         engine.save_checkpoint()  # unpatched: succeeds
         state = json.loads(sidecar.read_text())
         assert state["total_events"] == engine.total_events
@@ -136,3 +138,43 @@ class TestDurabilitySteps:
                             traced_replace)
         engine.save_checkpoint()
         assert calls == ["fsync", "replace", "fsync"]
+
+
+class TestKillWithEmitAttached:
+    @pytest.mark.parametrize("point", KILL_POINTS)
+    def test_kill_lands_on_the_sidecar_step(self, tmp_path,
+                                            ls_file_bytes, monkeypatch,
+                                            point):
+        """With an emit journal attached, ``engine_state`` fsyncs the
+        journal before the sidecar is written. The kill must still
+        land on the sidecar's own durability step, not on that
+        journal fsync, and the sidecar must obey the same invariant
+        as without the journal."""
+        trace_dir = tmp_path / "traces"
+        trace_dir.mkdir()
+        items = sorted(ls_file_bytes.items())
+        for name, content in items[:3]:
+            (trace_dir / name).write_bytes(content)
+        sidecar = tmp_path / "ckpt.json"
+        elog = tmp_path / "run.elog"
+        engine = LiveIngest(trace_dir, checkpoint=sidecar, emit=elog)
+        engine.poll()
+        engine.save_checkpoint()
+        old_state = json.loads(sidecar.read_text())
+        for name, content in items[3:]:
+            (trace_dir / name).write_bytes(content)
+        engine.poll()
+        with monkeypatch.context() as patched:
+            seam = _kill_at(patched, point)
+            with pytest.raises(OSError):
+                engine.save_checkpoint()
+        assert seam.fired and seam.calls == 1
+        survivor = json.loads(sidecar.read_text())
+        if point in ("temp_fsync", "replace"):
+            assert survivor == old_state
+        else:
+            assert survivor["total_events"] == engine.total_events
+        engine.close()
+        revived = LiveIngest(trace_dir, checkpoint=sidecar, emit=elog)
+        assert revived.total_events == survivor["total_events"]
+        revived.close()
