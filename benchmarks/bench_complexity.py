@@ -9,6 +9,9 @@ generous to absorb allocator noise). A second sweep fixes the events
 per activity and grows the activity count m instead: the DFG count,
 the statistics pass and the ASCII render must stay linear in m too
 (the render once computed its bar scale per node, which is O(m²)).
+At fixed events and activities, the statistics pass must not grow
+with the case count: it reduces whole columns, with no Python work
+per (activity, case) pair.
 A third check grows one live watch to a long history and times a
 checkpoint save after a poll that touched one case: the encoding is
 O(delta), so the save must not grow with the history at its rate.
@@ -186,6 +189,26 @@ def test_analysis_linear_in_activities():
          f"≈{size_ratio:.0f}", f"{ratio:.1f}") for stage, ratio in rows])
     for stage, ratio in rows:
         assert ratio < 3 * size_ratio, stage
+
+
+#: Case counts of the statistics case sweep, at fixed events/activities.
+CASE_SWEEP = (8, 2048)
+
+
+@pytest.mark.bench
+def test_statistics_flat_in_cases():
+    """``IOStatistics`` time stays flat from 8 to 2048 cases over the
+    same 80k events and 24 activities: per-(activity, case) Python
+    work would grow with the ~256x more (activity, case) runs."""
+    logs = {n: synthetic_log(80_000, n_cases=n)
+            .with_mapping(CallTopDirs(levels=3)) for n in CASE_SWEEP}
+    few, many = (min(_timed(lambda: IOStatistics(logs[n]))
+                     for _ in range(3)) for n in CASE_SWEEP)
+    ratio = many / few
+    paper_vs_measured("Sec. V — statistics are flat in the case count", [
+        (f"time ratio for {CASE_SWEEP[1] // CASE_SWEEP[0]}x cases",
+         "≈1", f"{ratio:.1f}")])
+    assert ratio < 2
 
 
 SAVE_CASES = 16

@@ -8,7 +8,8 @@ Sec. IV-B defines, for an activity ``a``, the list of event time ranges
 i.e. the largest number of simultaneously in-flight events. The paper's
 algorithm sorts by start time and scans; we implement the classic
 sweep-line over +1/-1 boundary deltas, vectorized with NumPy
-(:func:`max_concurrency`), plus a deliberately simple O(n²) reference
+(:func:`max_concurrency`, and :func:`grouped_max_concurrency` for many
+activities in one pass), plus a deliberately simple O(n²) reference
 (:func:`max_concurrency_naive`) used by property-based tests and by the
 ablation benchmark to validate and measure the optimization — following
 the guide's rule that optimizations must be checked against a trivially
@@ -39,10 +40,41 @@ def _as_arrays(
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(
             f"expected an (n, 2) array of (start, end) pairs, got {arr.shape}")
-    starts, ends = arr[:, 0], arr[:, 1]
+    return _checked(arr[:, 0], arr[:, 1])
+
+
+def _checked(starts: np.ndarray,
+             ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(starts, ends)`` as float64, rejecting an end before its start
+    (compared as floats, like every later step of the sweep)."""
+    starts = np.asarray(starts, dtype=np.float64)
+    ends = np.asarray(ends, dtype=np.float64)
     if np.any(ends < starts):
         raise ValueError("interval end precedes start")
     return starts, ends
+
+
+def _boundaries(starts: np.ndarray, ends: np.ndarray,
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sweep's ``(times, keys, deltas)`` over float64 intervals.
+
+    +1 at starts, -1 at ends. The secondary key orders boundaries at
+    equal times: end-of-other (key 0) < start (key 1) < end of a
+    zero-length interval (key 2), so half-open intervals touching at
+    an instant do not overlap while a zero-length interval still
+    counts once at its own instant. Zero length is tested on the float
+    values, so ends that round onto their start (above 2**53) count as
+    zero-length.
+    """
+    n = starts.size
+    times = np.concatenate([starts, ends])
+    deltas = np.concatenate([np.ones(n, dtype=np.int64),
+                             -np.ones(n, dtype=np.int64)])
+    keys = np.concatenate([
+        np.ones(n, dtype=np.int8),
+        np.where(ends == starts, np.int8(2), np.int8(0)),
+    ])
+    return times, keys, deltas
 
 
 def max_concurrency(
@@ -50,11 +82,8 @@ def max_concurrency(
 ) -> int:
     """Maximum number of simultaneously active intervals (Eq. 16).
 
-    Sweep-line: sort all boundaries; +1 at starts, -1 at ends; ends sort
-    *before* coincident starts (half-open intervals). Zero-duration
-    intervals still contribute a count of one at their instant: the pair
-    (+1 at t, -1 at t) is ordered start-before-its-own-end via a
-    secondary key.
+    Sweep-line: sort all boundaries (ordered as in :func:`_boundaries`)
+    and take the maximum of the running sum of their deltas.
 
     Complexity O(n log n); fully vectorized.
 
@@ -64,22 +93,42 @@ def max_concurrency(
     starts, ends = _as_arrays(intervals)
     if starts.size == 0:
         return 0
-    n = starts.size
-    # Boundary times and deltas. Secondary key orders, at equal times:
-    # end-of-other (-1, key 0) < start (key 1) < end-of-zero-length pair —
-    # we realize this by treating zero-length intervals specially: emit
-    # their -1 with key 2 so their own +1 (key 1) lands first.
-    zero_len = ends == starts
-    times = np.concatenate([starts, ends])
-    deltas = np.concatenate([np.ones(n, dtype=np.int64),
-                             -np.ones(n, dtype=np.int64)])
-    keys = np.concatenate([
-        np.ones(n, dtype=np.int8),                       # starts: key 1
-        np.where(zero_len, np.int8(2), np.int8(0)),      # ends: 0 or 2
-    ])
+    times, keys, deltas = _boundaries(starts, ends)
     order = np.lexsort((keys, times))
+    return int(np.cumsum(deltas[order]).max())
+
+
+def grouped_max_concurrency(starts: np.ndarray, ends: np.ndarray,
+                            offsets: np.ndarray) -> np.ndarray:
+    """:func:`max_concurrency` of many groups in one sweep.
+
+    Group ``g`` owns rows ``offsets[g]:offsets[g + 1]`` (the last group
+    runs to the end); ``offsets`` starts at 0 and strictly increases,
+    so no group is empty. One ``lexsort`` by (group, time, key) lays
+    each group's boundaries out contiguously, one ``cumsum`` runs over
+    all of them, and ``np.maximum.reduceat`` takes each group's peak.
+    The running count is back at zero at every group start because a
+    group's +1 and -1 deltas cancel.
+
+    >>> grouped_max_concurrency(np.array([0, 5, 0, 20]),
+    ...                         np.array([10, 15, 10, 30]),
+    ...                         np.array([0, 2])).tolist()
+    [2, 1]
+    """
+    starts, ends = _checked(starts, ends)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    n = starts.size
+    if offsets.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if offsets[0] != 0 or offsets[-1] >= n or np.any(np.diff(offsets) <= 0):
+        raise ValueError("group offsets must start at 0 and strictly "
+                         "increase within the rows")
+    group = np.repeat(np.arange(offsets.size),
+                      np.diff(np.append(offsets, n)))
+    times, keys, deltas = _boundaries(starts, ends)
+    order = np.lexsort((keys, times, np.concatenate([group, group])))
     running = np.cumsum(deltas[order])
-    return int(running.max())
+    return np.maximum.reduceat(running, 2 * offsets)
 
 
 def max_concurrency_naive(
@@ -161,19 +210,7 @@ def concurrency_profile(
     starts, ends = _as_arrays(intervals)
     if starts.size == 0:
         return []
-    n = starts.size
-    times = np.concatenate([starts, ends])
-    deltas = np.concatenate([np.ones(n, dtype=np.int64),
-                             -np.ones(n, dtype=np.int64)])
-    # The max_concurrency ordering: at equal times, ends of *other*
-    # intervals (key 0) sort before starts (key 1), and the end of a
-    # zero-length interval (key 2) after its own start — so the
-    # running count passes through the spike value.
-    zero_len = ends == starts
-    keys = np.concatenate([
-        np.ones(n, dtype=np.int8),
-        np.where(zero_len, np.int8(2), np.int8(0)),
-    ])
+    times, keys, deltas = _boundaries(starts, ends)
     order = np.lexsort((keys, times))
     sorted_times = times[order]
     sorted_keys = keys[order]

@@ -208,8 +208,10 @@ def _default_run_name(source) -> str:
 
 
 def _record_batch_run(args: argparse.Namespace, log: EventLog,
-                      mapping, levels: int) -> None:
-    """Commit a batch-layer run to ``--catalog`` (no-op without it)."""
+                      mapping, levels: int,
+                      stats: IOStatistics | None = None) -> None:
+    """Commit a batch-layer run to ``--catalog`` (no-op without it);
+    ``stats``, when the command already built them, are reused."""
     if not getattr(args, "catalog", None):
         return
     from repro.catalog import RunCatalog, RunRecord
@@ -218,7 +220,8 @@ def _record_batch_run(args: argparse.Namespace, log: EventLog,
         log,
         name=(getattr(args, "run_name", None)
               or _default_run_name(args.source)),
-        source=str(args.source), mapping=mapping.name, levels=levels)
+        source=str(args.source), mapping=mapping.name, levels=levels,
+        stats=stats)
     run_id = RunCatalog(args.catalog).record_run(record)
     print(f"cataloged run {run_id} ({record.name!r}) in {args.catalog}")
 
@@ -339,7 +342,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         _print_json(stats_payload(stats, top=args.top))
     else:
         print(activity_report(stats, top=args.top), end="")
-    _record_batch_run(args, log, _mapping(args), args.levels)
+    _record_batch_run(args, log, _mapping(args), args.levels, stats)
     return 0
 
 

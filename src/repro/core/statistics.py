@@ -22,68 +22,69 @@ The node labels in the paper's figures combine these as
 call :meth:`IOStatistics.load_label` / :meth:`IOStatistics.dr_label`
 to produce exactly those strings.
 
-Architecture: all statistics are folded through per-activity
-:class:`ActivityAccumulator` objects managed by a
-:class:`StatsAccumulator`. The accumulators absorb events one at a
-time (:meth:`StatsAccumulator.feed_event` — what the live engine calls
-at seal time) or a whole columnar frame at once
-(:meth:`StatsAccumulator.feed_frame` — the vectorized batch pass), and
-both roads produce *identical* :class:`IOStatistics` down to the float
-bit patterns: the per-case event order is the same either way, so the
-per-activity rate sequence — and with it NumPy's pairwise mean — is
-reproduced exactly. This is what lets a live watcher render
-full-history statistics at O(delta) per refresh and lets checkpoints
-persist statistics across process restarts
-(:mod:`repro.live.checkpoint`).
+Architecture: two routes compute the same statistics. The batch route
+(:meth:`IOStatistics.compute_statistics`) reduces a whole mapped frame
+at once with NumPy. The live route folds events one at a time through
+per-activity :class:`ActivityAccumulator` objects managed by a
+:class:`StatsAccumulator` (:meth:`StatsAccumulator.feed_event`, which
+the live engine calls at seal time); that is what lets a watcher
+render full-history statistics at O(delta) per refresh and lets
+checkpoints persist statistics across process restarts
+(:mod:`repro.live.checkpoint`). The accumulators are also the
+reference the batch route is tested against: on any frame, both give
+identical :class:`IOStatistics`, float bit patterns and timelines
+included (``tests/test_core/test_statistics.py``).
 
-Complexity of the batch pass: one group-by on the activity column plus
-columnar per-case slicing — the O(mn) of Sec. V, implemented as a
-stable sort + split + vectorized column math. Each activity group is
-folded once: its duration and byte sums, distinct rids and Eq. 13 rate
-sum (:func:`_exact_sum_many`, a few ``math.fsum`` passes) are computed
-for the whole group, and one list of ``(start, end)`` pairs is sliced
-into the per-case buffers, so the Python-level cost is
-O(m + (activity, case) runs), not O(mn). Derived per-activity scalars (max
-concurrency, mean rate) are cached and recomputed only for activities
-that received events since the last assembly — a touched activity
-re-sweeps its own interval buffer, an untouched one costs O(1) — and
-Eq. 15 timeline rows are materialized lazily from the append-only
-per-case buffers, so the accumulators never hold a second O(events)
-copy of the history.
+Complexity of the batch pass: the O(mn) of Sec. V as whole-frame
+reductions. One stable sort groups the mapped rows by activity (the
+frame is case-major and start-sorted, so each group keeps that order);
+counts are segment lengths; duration and byte sums are int64
+``np.add.reduceat`` (Python-int sums when int64 could wrap); distinct
+rids and cases are counted from unique (group, value) pairs; Eq. 16
+max concurrency is one grouped sweep for all activities
+(:func:`repro._util.intervals.grouped_max_concurrency`); the Eq. 13
+mean is one ``math.fsum`` per activity. The Python-level cost is
+O(activities), not O(events) or O((activity, case) runs). Eq. 15
+timelines stay slices of the sorted columns until
+:meth:`IOStatistics.timeline` asks for one.
 
-Memory. Scalar state is O(activities): the Eq. 13 mean is folded
-through exact non-overlapping partial sums (Shewchuk's algorithm, the
-machinery behind :func:`math.fsum`), so the mean of the per-event
-rates is bit-exact — the correctly rounded true sum divided by the
-count — without buffering a float per event, and independent of the
+On the live route, derived per-activity scalars (max concurrency, mean
+rate) are cached and recomputed only for activities that received
+events since the last assembly, and timeline rows are materialized
+lazily from the append-only per-case buffers.
+
+Memory of the live route. Scalar state is O(activities): the Eq. 13 mean
+is folded through exact non-overlapping partial sums (Shewchuk's
+algorithm, the machinery behind :func:`math.fsum`), so the mean of the
+per-event rates is bit-exact — the correctly rounded true sum divided by
+the count — without buffering a float per event, and independent of the
 order events were folded in. The only O(events) state left is the
 per-case ``[start, end]`` interval buffers behind Eq. 15/16. Passing
-``window=`` caps those: a per-case buffer exceeding the cap is
-coarsened by merging adjacent intervals, which bounds watcher memory
-for week-long runs at the price of *approximate* max concurrency and
-timelines (flagged via :attr:`ActivityStats.approximate` and rendered
-with a ``~``); every scalar statistic — counts, sums, relative
-duration, the mean rate — stays exact and bit-identical to the
-unwindowed computation.
+``window=`` caps those: a per-case buffer exceeding the cap is coarsened
+by merging adjacent intervals, which bounds watcher memory for week-long
+runs at the price of *approximate* max concurrency and timelines
+(flagged via :attr:`ActivityStats.approximate` and rendered with a
+``~``); every scalar statistic — counts, sums, relative duration, the
+mean rate — stays exact and bit-identical to the unwindowed computation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from repro._util.errors import ReproError
-from repro._util.intervals import max_concurrency
+from repro._util.intervals import grouped_max_concurrency, max_concurrency
 from repro._util.jsontext import object_parts
 from repro._util.sizes import format_bytes, format_rate
 from repro.core.frame import MISSING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.eventlog import EventLog
-    from repro.core.frame import EventFrame
 
 
 #: Every per-activity metric addressable by name through
@@ -153,9 +154,10 @@ def _exact_sum_step(partials: list[float], value: float) -> None:
     arithmetic — to the exact sum of every value folded so far (each
     two-float transform below is error-free). ``math.fsum(partials)``
     is therefore the correctly rounded true sum, identical no matter
-    how the values were ordered or batched; that is what makes the
-    Eq. 13 mean reproducible bit-for-bit across the batch, live, and
-    checkpoint-restore roads while keeping O(1) state per activity.
+    how the values were ordered or split — the same value the batch
+    route's one ``math.fsum`` per activity gives. That is what makes
+    the Eq. 13 mean reproducible bit-for-bit across the batch, live,
+    and checkpoint-restore roads while keeping O(1) state per activity.
     """
     i = 0
     for y in partials:
@@ -170,26 +172,6 @@ def _exact_sum_step(partials: list[float], value: float) -> None:
     partials[i:] = [value]
 
 
-def _exact_sum_many(partials: list[float], values: list[float]) -> None:
-    """Fold many values into the partials of :func:`_exact_sum_step`.
-
-    Equivalent to stepping each value in — the partials again sum
-    exactly to the old total plus the exact sum of ``values`` — at
-    C speed: ``math.fsum`` gives the correctly rounded sum, which is
-    folded in, and its negation is appended so the next pass sums the
-    exact remainder. Every remainder is at least 2⁵³ times smaller
-    than the one before and all are multiples of the smallest
-    subnormal, so a remainder of 0.0 is reached after a few passes.
-    """
-    values = list(values)
-    while True:
-        rounded = math.fsum(values)
-        if not rounded:
-            return
-        _exact_sum_step(partials, rounded)
-        values.append(-rounded)
-
-
 class ActivityAccumulator:
     """Running statistics of one activity, updatable per event.
 
@@ -197,10 +179,9 @@ class ActivityAccumulator:
     the exact-sum partials behind the Eq. 13 mean) are folded
     directly. Order-sensitive state — the Eq. 15 timeline feeding the
     Eq. 16 concurrency sweep — is kept *per case*: within a case,
-    events arrive in their final start-timestamp order on both the
-    batch and the live road, so assembling cases in a deterministic
-    order reproduces the batch sequence exactly regardless of how
-    polls interleaved the cases.
+    live events arrive in their final start-timestamp order, so
+    assembling cases in a deterministic order reproduces the batch
+    sequence exactly regardless of how polls interleaved the cases.
 
     The derived scalars (max concurrency, mean rate) are cached under
     a dirty flag: an activity untouched since the last assembly costs
@@ -277,47 +258,6 @@ class ActivityAccumulator:
         buffer.append((start_us, end))
         if self.window is not None and len(buffer) > self.window:
             self._coarsen(case_id, buffer)
-        self._dirty = True
-
-    def add_group(self, case_ids: list[str], bounds: list[int], *,
-                  rids: np.ndarray, starts: np.ndarray,
-                  durs: np.ndarray, sizes: np.ndarray) -> None:
-        """Fold a columnar group of this activity's events (batch road).
-
-        ``case_ids[i]`` owns rows ``bounds[i]:bounds[i + 1]``; rows are
-        in sealed order within each case. ``durs``/``sizes`` use the
-        frame's ``MISSING`` sentinel. Equivalent to calling
-        :meth:`add_event` per row, window coarsening included, with
-        the scalar folds done once for the whole group. Sums go
-        through Python ints, so they never wrap like an int64 NumPy
-        sum would.
-        """
-        self.event_count += len(starts)
-        valid_dur = durs != MISSING
-        self.dur_sum += sum(durs[valid_dur].tolist())
-        transfer = sizes != MISSING
-        if transfer.any():
-            self.has_transfers = True
-            self.bytes_sum += sum(sizes[transfer].tolist())
-        rate_mask = transfer & (durs > 0)
-        if rate_mask.any():
-            rates = sizes[rate_mask] / (durs[rate_mask] / 1e6)
-            _exact_sum_many(self._rate_partials, rates.tolist())
-            self.rate_count += int(np.count_nonzero(rate_mask))
-        self.rids.update(np.unique(rids).tolist())
-        intervals = list(zip(
-            starts.tolist(),
-            (starts + np.where(valid_dur, durs, 0)).tolist()))
-        window = self.window
-        for case_id, lo, hi in zip(case_ids, bounds, bounds[1:]):
-            buffer = self._case_timelines.setdefault(case_id, [])
-            if window is None:
-                buffer.extend(intervals[lo:hi])
-                continue
-            for interval in intervals[lo:hi]:
-                buffer.append(interval)
-                if len(buffer) > window:
-                    self._coarsen(case_id, buffer)
         self._dirty = True
 
     def _coarsen(self, case_id: str,
@@ -435,14 +375,13 @@ class ActivityAccumulator:
 
 class StatsAccumulator:
     """Per-activity statistics folded incrementally — the engine behind
-    both batch :meth:`IOStatistics.compute_statistics` and the live
-    :meth:`~repro.live.engine.LiveIngest.statistics`.
+    the live :meth:`~repro.live.engine.LiveIngest.statistics`, and the
+    reference for batch :meth:`IOStatistics.compute_statistics`.
 
     Feed events through :meth:`feed_event` (one sealed record at a
-    time) or :meth:`feed_frame` (a whole columnar frame, vectorized);
-    then :meth:`statistics` assembles an :class:`IOStatistics`. The
-    two feeding roads commute with assembly: any split of the same
-    events over any interleaving of cases yields identical statistics,
+    time); then :meth:`statistics` assembles an :class:`IOStatistics`.
+    Feeding commutes with assembly: any split of the same events over
+    any interleaving of cases yields identical statistics,
     because all cross-case state is either order-free (integer sums,
     sets) or reassembled in the caller-supplied case order.
 
@@ -552,41 +491,15 @@ class StatsAccumulator:
             case_id, rid=rid, start_us=start_us, dur_us=dur_us,
             size=size)
 
-    def feed_frame(self, frame: "EventFrame") -> "StatsAccumulator":
-        """Fold every mapped row of a columnar frame, vectorized.
-
-        One group-by on the activity column; within each group the
-        rows are already case-major and start-sorted (the frame
-        invariant), so per-case runs are boundary splits. Each group
-        is folded once (:meth:`ActivityAccumulator.add_group`), with
-        case codes decoded once per run — no per-row Python.
-        """
-        pools = frame.pools
-        dur = frame.column("dur")
-        size = frame.column("size")
-        start = frame.column("start")
-        rid = frame.column("rid")
-        case = frame.column("case")
-        for code, rows in frame.groupby_activity():
-            case_codes = case[rows]
-            bounds = [0, *(np.flatnonzero(np.diff(case_codes)) + 1)
-                      .tolist(), len(rows)]
-            case_ids = [pools.cases.decode(c)
-                        for c in case_codes[bounds[:-1]].tolist()]
-            self._accumulator(pools.activities.decode(code)).add_group(
-                case_ids, bounds, rids=rid[rows], starts=start[rows],
-                durs=dur[rows], sizes=size[rows])
-        return self
-
     # -- assembly ----------------------------------------------------------
 
     def statistics(self, case_order: Sequence[str] | None = None,
                    ) -> "IOStatistics":
         """Assemble the folded state into an :class:`IOStatistics`.
 
-        ``case_order`` fixes the cross-case layout of timelines and
-        rate sequences (batch passes the frame's case interning order;
-        the live engine passes its sorted-path order — identical for a
+        ``case_order`` fixes the cross-case layout of the timelines
+        (batch lays cases out in the frame's case interning order; the
+        live engine passes its sorted-path order — identical for a
         directory that reached its final state). ``None`` falls back
         to lexicographic case-id order, which is deterministic but
         only matches batch for flat single-directory layouts.
@@ -711,6 +624,40 @@ class StatsAccumulator:
                 f" events)")
 
 
+def _segment_sums(values: np.ndarray, offsets: np.ndarray) -> list[int]:
+    """Per-group sums of an int64 column (groups start at ``offsets``)
+    as Python ints: ``np.add.reduceat`` when no sum can reach 2**63,
+    else exact Python-int sums per group, so totals never wrap."""
+    if max(-int(values.min()), int(values.max())) * values.size < 2**63:
+        return np.add.reduceat(values, offsets).tolist()
+    flat = values.tolist()
+    bounds = [*offsets.tolist(), len(flat)]
+    return [sum(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _distinct_counts(values: np.ndarray, first: np.ndarray) -> list[int]:
+    """Distinct values per group (``first`` flags each group's first
+    row). Repeats along a run are dropped before the sort — a case's
+    rows share one case code and, from strace sources, one rid — so
+    the sort sees about one pair per (activity, case) run."""
+    keep = first.copy()
+    keep[1:] |= values[1:] != values[:-1]
+    group = (np.cumsum(first) - 1)[keep]
+    kept = values[keep]
+    order = np.lexsort((kept, group))
+    group, kept = group[order], kept[order]
+    new = np.ones(group.size, dtype=bool)
+    new[1:] = (group[1:] != group[:-1]) | (kept[1:] != kept[:-1])
+    return np.bincount(group[new]).tolist()
+
+
+def _timeline_rows(pool, case: np.ndarray, start: np.ndarray,
+                   end: np.ndarray) -> list[tuple[str, int, int]]:
+    """Eq. 15 ``(case_id, start_us, end_us)`` rows from column slices."""
+    return list(zip(pool.decode_all(case.tolist()), start.tolist(),
+                    end.tolist()))
+
+
 class IOStatistics:
     """Per-activity statistics over an event-log (paper Fig. 6, step 4).
 
@@ -740,21 +687,72 @@ class IOStatistics:
     def compute_statistics(self, event_log: "EventLog") -> "IOStatistics":
         """Compute all statistics; replaces any previous results.
 
-        Implemented as "feed the frame once" into a fresh
-        :class:`StatsAccumulator` and assemble — the exact code path
-        the live engine drives per sealed event, so batch and live
-        statistics cannot drift apart.
+        Whole-frame reductions over the mapped rows, grouped by one
+        stable sort on the activity code. The frame is case-major and
+        start-sorted (the :class:`~repro.core.eventlog.EventLog`
+        invariant), so within a group the rows are already in Eq. 15
+        timeline order: cases in interning order, then start order.
+        The result equals feeding every row through
+        :meth:`StatsAccumulator.feed_event` and assembling in that case
+        order, floats bit for bit.
         """
         event_log._require_mapping()
         frame = event_log.frame
-        accumulator = StatsAccumulator().feed_frame(frame)
+        activity = frame.column("activity")
+        mapped = np.flatnonzero(activity != MISSING)
+        rows = mapped[np.argsort(activity[mapped], kind="stable")]
+        codes = activity[rows]
+        offsets = np.flatnonzero(np.diff(codes, prepend=MISSING))
+        self._stats, self._lazy_timelines = {}, {}
+        self._timelines, self._total_dur_us = {}, 0
+        if rows.size == 0:
+            return self
+        first = np.zeros(rows.size, dtype=bool)
+        first[offsets] = True
+        case = frame.column("case")[rows]
+        start = frame.column("start")[rows]
+        dur = frame.column("dur")[rows]
+        size = frame.column("size")[rows]
+        transfer = size != MISSING
+        dur = np.where(dur != MISSING, dur, 0)
+        end = start + dur
+        rated = transfer & (dur > 0)
+        rates = (size[rated] / (dur[rated] / 1e6)).tolist()
+        dur_sums = _segment_sums(dur, offsets)
+        self._total_dur_us = total_dur = sum(dur_sums)
+        bounds = [*offsets.tolist(), rows.size]
+        rate_bounds = [0, *np.cumsum(
+            np.add.reduceat(rated, offsets)).tolist()]
+        columns = zip(
+            frame.pools.activities.decode_all(codes[offsets].tolist()),
+            zip(bounds, bounds[1:]), zip(rate_bounds, rate_bounds[1:]),
+            dur_sums,
+            _segment_sums(np.where(transfer, size, 0), offsets),
+            np.logical_or.reduceat(transfer, offsets).tolist(),
+            grouped_max_concurrency(start, end, offsets).tolist(),
+            _distinct_counts(frame.column("rid")[rows], first),
+            _distinct_counts(case, first))
         pool = frame.pools.cases
-        case_order = [pool.decode(code) for code in range(len(pool))]
-        computed = accumulator.statistics(case_order=case_order)
-        self._stats = computed._stats
-        self._timelines = computed._timelines
-        self._lazy_timelines = computed._lazy_timelines
-        self._total_dur_us = computed._total_dur_us
+        for (name, (lo, hi), (r_lo, r_hi), dur_sum, bytes_sum,
+             has_transfers, mc, ranks, cases) in columns:
+            self._stats[name] = ActivityStats(
+                activity=name,
+                event_count=hi - lo,
+                total_dur_us=dur_sum,
+                relative_duration=(dur_sum / total_dur
+                                   if total_dur > 0 else 0.0),
+                total_bytes=bytes_sum,
+                has_transfers=has_transfers,
+                process_data_rate=(math.fsum(rates[r_lo:r_hi])
+                                   / (r_hi - r_lo) if r_hi > r_lo
+                                   else None),
+                max_concurrency=mc,
+                ranks=ranks,
+                cases=cases,
+            )
+            self._lazy_timelines[name] = partial(
+                _timeline_rows, pool, case[lo:hi], start[lo:hi],
+                end[lo:hi])
         return self
 
     # -- access -------------------------------------------------------------------

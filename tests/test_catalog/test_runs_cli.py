@@ -39,6 +39,34 @@ class TestBatchRecording:
         # Default run name: the source directory's basename.
         assert f"({Path(fig1_dir).name!r})" in out
 
+    def test_report_catalog_builds_statistics_once(self, tmp_path,
+                                                  fig1_dir, fig1_batch,
+                                                  capsys, monkeypatch):
+        """``report --catalog`` records the statistics it printed
+        instead of building them again, under the same fingerprint a
+        from-scratch record gets."""
+        from repro.catalog import RunCatalog, RunRecord
+        from repro.core.statistics import IOStatistics
+
+        log, mapping = fig1_batch
+        expected = RunRecord.from_log(
+            log, name="ref", source=str(fig1_dir), mapping=mapping.name,
+            levels=2).fingerprint
+        calls = []
+        compute = IOStatistics.compute_statistics
+
+        def spy(self, event_log):
+            calls.append(event_log)
+            return compute(self, event_log)
+
+        monkeypatch.setattr(IOStatistics, "compute_statistics", spy)
+        catalog = tmp_path / "cat.db"
+        assert main(["report", str(fig1_dir),
+                     "--catalog", str(catalog)]) == 0
+        assert len(calls) == 1
+        (row,) = RunCatalog(catalog).list_runs()
+        assert row.fingerprint == expected
+
     def test_convert_catalog_records_the_packed_store(self, tmp_path,
                                                       fig1_dir,
                                                       capsys):

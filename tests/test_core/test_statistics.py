@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import math
 from fractions import Fraction
 
 import pytest
@@ -12,11 +11,11 @@ from repro._util.errors import ReproError
 from repro.core.eventlog import EventLog
 from repro.core.frame import MISSING
 from repro.core.mapping import CallTopDirs
+from repro.core.partition import PartitionEL
 from repro.core.statistics import (
+    ActivityStats,
     IOStatistics,
     StatsAccumulator,
-    _exact_sum_many,
-    _exact_sum_step,
 )
 from tests.strategies import SMALL_TIMINGS, event_frames
 
@@ -53,15 +52,34 @@ def feed_rows(accumulator: StatsAccumulator, frame) -> StatsAccumulator:
     return accumulator
 
 
+#: ``ActivityStats`` field names, in ``astuple`` order.
+STATS_FIELDS = tuple(f.name for f in dataclasses.fields(ActivityStats))
+#: The fields interval windowing turns into an upper bound and its flag.
+WINDOWED = ("max_concurrency", "approximate")
+
+
+def event_rates(frame, activity: str) -> list[float]:
+    """The Eq. 13 per-event rates ``size/dur`` of one activity."""
+    code = frame.pools.activities.lookup(activity)
+    dur, size = frame.column("dur"), frame.column("size")
+    rated = ((frame.column("activity") == code) & (size != MISSING)
+             & (dur > 0))
+    return (size[rated] / (dur[rated] / 1e6)).tolist()
+
+
 def exact_total(values) -> Fraction:
     """The exact rational sum of some floats."""
     return sum(map(Fraction, values), Fraction(0))
 
 
-def stats_bits(stats: IOStatistics) -> list[tuple]:
-    """Every ``ActivityStats`` field with floats as their exact hex."""
+def stats_bits(stats: IOStatistics, skip: tuple[str, ...] = ()
+               ) -> list[tuple]:
+    """Every ``ActivityStats`` field not in ``skip``, with floats as
+    their exact hex."""
     return [tuple(v.hex() if isinstance(v, float) else v
-                  for v in dataclasses.astuple(stats[a]))
+                  for field, v in zip(STATS_FIELDS,
+                                      dataclasses.astuple(stats[a]))
+                  if field not in skip)
             for a in stats.activities()]
 
 
@@ -253,7 +271,8 @@ class TestAccessors:
 
 
 class TestStatsAccumulator:
-    """The accumulator layer behind both batch and live statistics."""
+    """The accumulator layer behind live statistics, and the
+    reference for batch statistics."""
 
     def _mapped_log(self, fig1_dir) -> EventLog:
         log = EventLog.from_source(fig1_dir)
@@ -262,7 +281,7 @@ class TestStatsAccumulator:
 
     def test_event_by_event_feed_equals_frame_feed(self, fig1_dir):
         """Feeding one event at a time (the live road) produces
-        field-identical statistics to the vectorized frame feed (the
+        field-identical statistics to the whole-frame reductions (the
         batch road) — floats included, no approx."""
         log = self._mapped_log(fig1_dir)
         pools = log.frame.pools
@@ -284,38 +303,49 @@ class TestStatsAccumulator:
            window=st.sampled_from([None, 2, 3]))
     def test_frame_feed_equals_event_feed_on_random_frames(self, frame,
                                                            window):
-        """The group fold of ``feed_frame`` equals per-event
-        ``feed_event`` on any frame: floats bit-equal, int sums past
-        int64, window coarsening, timelines and ``approximate``; and
-        the fed state survives a JSON ``to_state``/``from_state``."""
-        frame = EventLog(frame).frame
-        pools = frame.pools
-        case_order = [pools.cases.decode(c)
-                      for c in range(len(pools.cases))]
-        fed = StatsAccumulator(window=window).feed_frame(frame)
-        batch = fed.statistics(case_order=case_order)
-        live_acc = feed_rows(StatsAccumulator(window=window), frame)
-        live = live_acc.statistics(case_order=case_order)
-        revived = StatsAccumulator.from_state(
-            json.loads(json.dumps(fed.to_state())), window=window) \
-            .statistics(case_order=case_order)
-        assert batch.activities() == live.activities()
-        assert batch.total_duration_us == live.total_duration_us
-        for activity in batch.activities():
-            # Both roads' partials sum exactly to the true rate total,
-            # so later events keep folding exactly on either.
-            assert exact_total(
-                fed._activities[activity]._rate_partials) == \
-                exact_total(live_acc._activities[activity]._rate_partials)
-        for other in (live, revived):
-            assert stats_bits(other) == stats_bits(batch)
-            for activity in batch.activities():
-                assert other.timeline(activity) == \
-                    batch.timeline(activity), activity
+        """Batch ``IOStatistics`` equals per-event ``feed_event`` on any
+        frame and on its ``filtered_cids``/``PartitionEL`` sub-logs:
+        floats bit-equal, int sums past int64, timelines. Windowed
+        feeds keep every scalar exact; every feed survives a JSON
+        ``to_state``/``from_state`` round trip, and its rate partials
+        sum exactly to the true rate total."""
+        log = EventLog(frame, CallTopDirs())
+        cids = log.cids()
+        logs = [log, log.filtered_cids(cids[:1])]
+        if len(cids) > 1:
+            logs.extend(PartitionEL(log, green_cids=cids[:1]))
+        for sub in logs:
+            pools = sub.frame.pools
+            case_order = [pools.cases.decode(c)
+                          for c in range(len(pools.cases))]
+            batch = IOStatistics(sub)
+            live_acc = feed_rows(StatsAccumulator(window=window),
+                                 sub.frame)
+            live = live_acc.statistics(case_order=case_order)
+            revived = StatsAccumulator.from_state(
+                json.loads(json.dumps(live_acc.to_state())),
+                window=window).statistics(case_order=case_order)
+            assert batch.activities() == live.activities()
+            assert batch.total_duration_us == live.total_duration_us
+            if window is None:
+                assert stats_bits(live) == stats_bits(batch)
+                for activity in batch.activities():
+                    assert live.timeline(activity) == \
+                        batch.timeline(activity), activity
+            else:
+                assert stats_bits(live, skip=WINDOWED) == \
+                    stats_bits(batch, skip=WINDOWED)
+            assert stats_bits(revived) == stats_bits(live)
+            for activity in live.activities():
+                assert revived.timeline(activity) == \
+                    live.timeline(activity), activity
+                assert exact_total(
+                    live_acc._activities[activity]._rate_partials) == \
+                    exact_total(event_rates(sub.frame, activity))
 
     def test_state_roundtrip(self, fig1_dir):
         log = self._mapped_log(fig1_dir)
-        accumulator = StatsAccumulator().feed_frame(log.frame)
+        accumulator = feed_rows(StatsAccumulator(), log.frame)
         revived = StatsAccumulator.from_state(accumulator.to_state())
         one = accumulator.statistics()
         two = revived.statistics()
@@ -327,42 +357,9 @@ class TestStatsAccumulator:
         """Without an explicit order the flat-directory layout (case
         ids sorted) matches the frame interning order."""
         log = self._mapped_log(fig1_dir)
-        accumulator = StatsAccumulator().feed_frame(log.frame)
+        accumulator = feed_rows(StatsAccumulator(), log.frame)
         batch = IOStatistics(log)
         implicit = accumulator.statistics()
         for activity in batch.activities():
             assert implicit.timeline(activity) == \
                 batch.timeline(activity)
-
-
-class TestExactSum:
-    """The Eq. 13 rate sum folds exactly, one value or many at once."""
-
-    def test_multi_pass_fold_is_exact(self):
-        """Each term is below half an ulp of the running total, so
-        every ``fsum`` pass leaves a remainder for the next."""
-        values = [1.0, 2.0 ** -60, 2.0 ** -120, 2.0 ** -180, 2.0 ** -240]
-        partials: list[float] = []
-        _exact_sum_many(partials, values)
-        assert len(partials) == len(values)
-        assert exact_total(partials) == exact_total(values)
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.floats(min_value=-1e300, max_value=1e300,
-                              allow_nan=False), max_size=6),
-           st.lists(st.floats(min_value=-1e300, max_value=1e300,
-                              allow_nan=False)))
-    def test_many_equals_stepping_each_value(self, before, values):
-        """Folding a batch keeps the partials summing exactly to the
-        true total, so ``fsum`` of them is what per-value stepping
-        gives — bit for bit."""
-        stepped: list[float] = []
-        for value in before:
-            _exact_sum_step(stepped, value)
-        batched = list(stepped)
-        for value in values:
-            _exact_sum_step(stepped, value)
-        _exact_sum_many(batched, values)
-        assert exact_total(batched) == exact_total(before) + \
-            exact_total(values)
-        assert math.fsum(batched).hex() == math.fsum(stepped).hex()

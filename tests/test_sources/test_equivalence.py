@@ -198,14 +198,3 @@ class TestDeprecatedShims:
             session = InspectionSession.from_source(spec)
             session.map_default()
             assert session.dfg.n_nodes > 0
-
-    def test_adapters_reexport_warns(self):
-        import importlib
-
-        import repro.adapters as adapters
-
-        importlib.reload(adapters)
-        with pytest.warns(DeprecationWarning, match="moved to"):
-            assert adapters.read_csv_log is not None
-        with pytest.warns(DeprecationWarning, match="moved to"):
-            assert adapters.CSV_COLUMNS[0] == "cid"

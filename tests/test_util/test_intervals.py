@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro._util.intervals import (
+    grouped_max_concurrency,
     max_concurrency,
     max_concurrency_naive,
     merge_intervals,
@@ -83,6 +84,72 @@ class TestSweepMatchesNaive:
         assert 0 <= mc <= len(intervals)
         if intervals:
             assert mc >= 1
+
+
+#: ``(start, dur)`` of one event: small shared instants (boundaries
+#: coincide within and across groups, zero lengths are common) or
+#: starts just past 2**53, where an end can round onto its start.
+grouped_events = st.one_of(
+    st.tuples(st.integers(0, 20), st.integers(0, 8)),
+    st.tuples(st.integers(2**53 - 4, 2**53 + 4), st.integers(0, 3)),
+    st.tuples(st.integers(0, 20), st.integers(2**53, 2**62)))
+
+
+def _grouped(groups):
+    """Flat int64 ``(starts, ends, offsets)`` of per-group events."""
+    rows = [event for group in groups for event in group]
+    starts = np.array([s for s, _ in rows], dtype=np.int64)
+    ends = np.array([s + d for s, d in rows], dtype=np.int64)
+    offsets = np.cumsum([0, *map(len, groups[:-1])])
+    return starts, ends, offsets
+
+
+class TestGroupedMaxConcurrency:
+    """The one-sweep Eq. 16 of every activity of a batch pass."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(grouped_events, min_size=1, max_size=12),
+                    min_size=1, max_size=8))
+    def test_equals_naive_per_group(self, groups):
+        starts, ends, offsets = _grouped(groups)
+        expected = [max_concurrency_naive([(s, s + d) for s, d in group])
+                    for group in groups]
+        assert grouped_max_concurrency(starts, ends, offsets).tolist() \
+            == expected
+
+    def test_shared_boundaries_stay_per_group(self):
+        """A group ending where the next one starts, and identical
+        groups side by side, count only their own intervals."""
+        groups = [[(0, 5), (0, 5)], [(5, 5)], [(5, 0), (5, 0), (0, 9)],
+                  [(3, 0)]]
+        starts, ends, offsets = _grouped(groups)
+        assert grouped_max_concurrency(starts, ends, offsets).tolist() \
+            == [2, 1, 3, 1]
+
+    def test_end_rounding_onto_start_is_zero_length(self):
+        """Above 2**53 an end one past its start rounds onto it: both
+        routes then see a zero-length interval, counted at its instant
+        next to a touching one."""
+        start = 2**53 + 1
+        groups = [[(start - 1, 1), (start, 1)]]
+        starts, ends, offsets = _grouped(groups)
+        assert grouped_max_concurrency(starts, ends, offsets).tolist() \
+            == [max_concurrency_naive([(start - 1, start),
+                                       (start, start + 1)])] == [2]
+
+    def test_empty(self):
+        empty = np.zeros(0, dtype=np.int64)
+        assert grouped_max_concurrency(empty, empty, empty).size == 0
+
+    def test_end_before_start_rejected(self):
+        with pytest.raises(ValueError, match="precedes"):
+            grouped_max_concurrency(np.array([0, 10]), np.array([5, 5]),
+                                    np.array([0, 1]))
+
+    def test_empty_group_rejected(self):
+        with pytest.raises(ValueError, match="offsets"):
+            grouped_max_concurrency(np.array([0, 1]), np.array([5, 5]),
+                                    np.array([0, 0]))
 
 
 class TestMergeIntervals:
