@@ -119,6 +119,15 @@ def _time_ingest(directory: Path, workers: int, repeats: int = 2):
     return best, log
 
 
+def _activity_groups(frame) -> list[tuple[int, "np.ndarray"]]:
+    """``(activity_code, rows)`` per group of ``frame.groupby_activity``."""
+    import numpy as np
+
+    rows, offsets = frame.groupby_activity()
+    codes = frame.column("activity")[rows[offsets]].tolist()
+    return list(zip(codes, np.split(rows, offsets[1:])))
+
+
 def _rowwise_timelines(frame) -> dict[str, list[tuple[str, int, int]]]:
     """The pre-vectorization timeline build: one Python iteration per
     event, decoding the case code row by row (the O(mn)-in-Python
@@ -130,7 +139,7 @@ def _rowwise_timelines(frame) -> dict[str, list[tuple[str, int, int]]]:
     dur = frame.column("dur")
     case = frame.column("case")
     timelines: dict[str, list[tuple[str, int, int]]] = {}
-    for code, rows in frame.groupby_activity():
+    for code, rows in _activity_groups(frame):
         case_pool = pools.cases
         timelines[pools.activities.decode(code)] = [
             (case_pool.decode(int(case[r])), int(start[r]),
@@ -153,7 +162,7 @@ def _columnar_timelines(frame) -> dict[str, list[tuple[str, int, int]]]:
     dur = frame.column("dur")
     case = frame.column("case")
     timelines: dict[str, list[tuple[str, int, int]]] = {}
-    for code, rows in frame.groupby_activity():
+    for code, rows in _activity_groups(frame):
         starts = start[rows]
         durs = dur[rows]
         ends = starts + np.where(durs != MISSING, durs, 0)

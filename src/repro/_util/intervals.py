@@ -103,10 +103,12 @@ def grouped_max_concurrency(starts: np.ndarray, ends: np.ndarray,
     """:func:`max_concurrency` of many groups in one sweep.
 
     Group ``g`` owns rows ``offsets[g]:offsets[g + 1]`` (the last group
-    runs to the end); ``offsets`` starts at 0 and strictly increases,
-    so no group is empty. One ``lexsort`` by (group, time, key) lays
-    each group's boundaries out contiguously, one ``cumsum`` runs over
-    all of them, and ``np.maximum.reduceat`` takes each group's peak.
+    runs to the end). Precondition, not checked: there is at least one
+    row, and ``offsets`` starts at 0 and strictly increases below the
+    row count, so no group is empty. One ``lexsort`` by (group, time,
+    key) lays each group's boundaries out contiguously, one ``cumsum``
+    runs over all of them, and ``np.maximum.reduceat`` takes each
+    group's peak.
     The running count is back at zero at every group start because a
     group's +1 and -1 deltas cancel.
 
@@ -116,15 +118,8 @@ def grouped_max_concurrency(starts: np.ndarray, ends: np.ndarray,
     [2, 1]
     """
     starts, ends = _checked(starts, ends)
-    offsets = np.asarray(offsets, dtype=np.int64)
-    n = starts.size
-    if offsets.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    if offsets[0] != 0 or offsets[-1] >= n or np.any(np.diff(offsets) <= 0):
-        raise ValueError("group offsets must start at 0 and strictly "
-                         "increase within the rows")
     group = np.repeat(np.arange(offsets.size),
-                      np.diff(np.append(offsets, n)))
+                      np.diff(np.append(offsets, starts.size)))
     times, keys, deltas = _boundaries(starts, ends)
     order = np.lexsort((keys, times, np.concatenate([group, group])))
     running = np.cumsum(deltas[order])

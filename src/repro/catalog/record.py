@@ -104,16 +104,15 @@ class RunRecord:
                  mapping: str, levels: int,
                  alerts: "tuple[Alert, ...] | list[Alert]" = (),
                  wall_span_s: float | None = None,
-                 dfg: DFG | None = None,
                  stats: IOStatistics | None = None) -> "RunRecord":
         """Derive a record from a mapped event-log (batch layer).
 
-        ``dfg``/``stats`` are the caller's, already built over ``log``;
-        whichever is missing is built here.
+        ``stats``, when given, are the caller's, already computed over
+        ``log``; otherwise they are computed here.
         """
         return cls.create(
             name=name, source=source, mapping=mapping, levels=levels,
-            dfg=DFG(log) if dfg is None else dfg,
+            dfg=DFG(log),
             stats=IOStatistics(log) if stats is None else stats,
             n_events=log.n_events, n_cases=log.n_cases,
             alerts=alerts, wall_span_s=wall_span_s)

@@ -245,21 +245,22 @@ class EventFrame:
         groups = np.split(order, boundaries)
         return [(int(case_codes[g[0]]), g) for g in groups]
 
-    def groupby_activity(self) -> list[tuple[int, np.ndarray]]:
+    def groupby_activity(self) -> tuple[np.ndarray, np.ndarray]:
         """Group rows by activity code, excluding unmapped rows.
 
-        This powers the O(mn) statistics pass of Sec. V: one stable sort
-        followed by boundary splitting.
+        Returns ``(rows, offsets)``: the mapped row indices stably
+        sorted by activity code (frame order within a group), and the
+        start of each group in ``rows``, so group ``g`` is
+        ``rows[offsets[g]:offsets[g + 1]]`` and its code is
+        ``activity[rows[offsets[g]]]``. This powers the statistics
+        pass of Sec. V, whose segment reductions take the offsets as
+        they are.
         """
         activity = self._columns["activity"]
         mapped = np.flatnonzero(activity != MISSING)
-        if mapped.size == 0:
-            return []
-        order = mapped[np.argsort(activity[mapped], kind="stable")]
-        sorted_codes = activity[order]
-        boundaries = np.flatnonzero(np.diff(sorted_codes)) + 1
-        groups = np.split(order, boundaries)
-        return [(int(activity[g[0]]), g) for g in groups]
+        rows = mapped[np.argsort(activity[mapped], kind="stable")]
+        offsets = np.flatnonzero(np.diff(activity[rows], prepend=MISSING))
+        return rows, offsets
 
     # -- concatenation -----------------------------------------------------------
 

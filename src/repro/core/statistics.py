@@ -698,11 +698,7 @@ class IOStatistics:
         """
         event_log._require_mapping()
         frame = event_log.frame
-        activity = frame.column("activity")
-        mapped = np.flatnonzero(activity != MISSING)
-        rows = mapped[np.argsort(activity[mapped], kind="stable")]
-        codes = activity[rows]
-        offsets = np.flatnonzero(np.diff(codes, prepend=MISSING))
+        rows, offsets = frame.groupby_activity()
         self._stats, self._lazy_timelines = {}, {}
         self._timelines, self._total_dur_us = {}, 0
         if rows.size == 0:
@@ -715,7 +711,10 @@ class IOStatistics:
         size = frame.column("size")[rows]
         transfer = size != MISSING
         dur = np.where(dur != MISSING, dur, 0)
-        end = start + dur
+        if int(start.max()) + int(dur.max()) < 2**63:
+            end = start + dur
+        else:  # exact Python-int ends past int64, as feed_event keeps
+            end = start.astype(object) + dur.astype(object)
         rated = transfer & (dur > 0)
         rates = (size[rated] / (dur[rated] / 1e6)).tolist()
         dur_sums = _segment_sums(dur, offsets)
@@ -724,7 +723,8 @@ class IOStatistics:
         rate_bounds = [0, *np.cumsum(
             np.add.reduceat(rated, offsets)).tolist()]
         columns = zip(
-            frame.pools.activities.decode_all(codes[offsets].tolist()),
+            frame.pools.activities.decode_all(
+                frame.column("activity")[rows[offsets]].tolist()),
             zip(bounds, bounds[1:]), zip(rate_bounds, rate_bounds[1:]),
             dur_sums,
             _segment_sums(np.where(transfer, size, 0), offsets),

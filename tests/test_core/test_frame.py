@@ -106,16 +106,21 @@ class TestGrouping:
         codes = np.full(len(frame), MISSING, dtype=np.int32)
         codes[:5] = 0
         tagged = frame.with_activity_codes(codes)
-        groups = tagged.groupby_activity()
-        assert len(groups) == 1
-        assert len(groups[0][1]) == 5
+        rows, offsets = tagged.groupby_activity()
+        assert offsets.tolist() == [0]
+        assert rows.tolist() == [0, 1, 2, 3, 4]
 
     def test_groupby_activity_codes_correct(self, frame):
         rng = np.random.default_rng(3)
         codes = rng.integers(0, 4, size=len(frame)).astype(np.int32)
         tagged = frame.with_activity_codes(codes)
-        for code, rows in tagged.groupby_activity():
-            assert (codes[rows] == code).all()
+        rows, offsets = tagged.groupby_activity()
+        assert sorted(rows.tolist()) == list(range(len(frame)))
+        groups = np.split(rows, offsets[1:])
+        assert len(groups) == len(np.unique(codes))
+        for group in groups:
+            assert (codes[group] == codes[group[0]]).all()
+            assert (np.diff(group) > 0).all()
 
 
 class TestConcat:

@@ -22,14 +22,18 @@ from tests.strategies import SMALL_TIMINGS, event_frames
 #: Row timings at the edges of the Eq. 13 rate range: 2⁶²-byte
 #: transfers in 1 µs next to 1-byte transfers over ~2⁶² µs, so rate
 #: sums span ~2¹⁶⁰ and need several ``fsum`` passes to fold exactly,
-#: and byte/duration sums leave the int64 range.
+#: and byte/duration sums leave the int64 range; starts near 2⁶³ put
+#: ``start + dur`` interval ends past it.
 EXTREME_TIMINGS = st.one_of(
     SMALL_TIMINGS,
     st.tuples(st.integers(min_value=0, max_value=10**6), st.just(1),
               st.integers(min_value=2**61, max_value=2**62 - 1)),
     st.tuples(st.integers(min_value=0, max_value=10**6),
               st.integers(min_value=2**61, max_value=2**62),
-              st.just(1)))
+              st.just(1)),
+    st.tuples(st.integers(min_value=2**63 - 2**62, max_value=2**63 - 1),
+              st.integers(min_value=1, max_value=2**62),
+              st.integers(min_value=0, max_value=10**6)))
 
 
 def feed_rows(accumulator: StatsAccumulator, frame) -> StatsAccumulator:

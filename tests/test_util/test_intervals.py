@@ -137,19 +137,10 @@ class TestGroupedMaxConcurrency:
             == [max_concurrency_naive([(start - 1, start),
                                        (start, start + 1)])] == [2]
 
-    def test_empty(self):
-        empty = np.zeros(0, dtype=np.int64)
-        assert grouped_max_concurrency(empty, empty, empty).size == 0
-
     def test_end_before_start_rejected(self):
         with pytest.raises(ValueError, match="precedes"):
             grouped_max_concurrency(np.array([0, 10]), np.array([5, 5]),
                                     np.array([0, 1]))
-
-    def test_empty_group_rejected(self):
-        with pytest.raises(ValueError, match="offsets"):
-            grouped_max_concurrency(np.array([0, 1]), np.array([5, 5]),
-                                    np.array([0, 0]))
 
 
 class TestMergeIntervals:
