@@ -93,21 +93,8 @@ def _workers_arg(text: str) -> int:
             f"{exc}; omit the flag to auto-detect") from None
 
 
-def _nonneg_float_arg(text: str) -> float:
-    """argparse type for ``--interval``: a non-negative number
-    (``time.sleep`` rejects negatives with a raw traceback)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid float value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0 (got {value})")
-    return value
-
-
 def _positive_int_arg(text: str) -> int:
-    """argparse type for ``--polls``: a positive integer."""
+    """argparse type for ``--limit``: a positive integer."""
     try:
         value = int(text)
     except ValueError:
@@ -145,18 +132,45 @@ def _port_arg(text: str) -> int:
     return value
 
 
-def _window_arg(text: str) -> int:
-    """argparse type for ``--window``: an integer >= 2 (a coarsening
-    pass merges adjacent pairs — below two entries there is nothing to
-    merge into)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}") from None
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be >= 2 (got {value})")
-    return value
+def _add_job_options(parser: argparse.ArgumentParser,
+                     *names: str) -> None:
+    """Add the named :class:`~repro.fleet.job.JobSpec` options as
+    flags (all of them — the ``watch`` job options — when no names
+    are given): spelling, help, default and value check all come from
+    the field."""
+    from dataclasses import MISSING
+
+    from repro.fleet.job import OPTIONS
+
+    for option in OPTIONS:
+        if names and option.name not in names:
+            continue
+        if option.default is MISSING:
+            parser.add_argument(option.name, metavar=option.flag,
+                                help=option.help)
+        elif isinstance(option.default, bool):
+            parser.add_argument(
+                option.flag, dest=option.name, help=option.help,
+                action="store_false" if option.default else "store_true")
+        else:
+            parser.add_argument(
+                option.flag, dest=option.name, default=option.default,
+                type=_checked_type(option.check),
+                choices=option.check.choices, metavar=option.metavar,
+                help=option.help)
+
+
+def _checked_type(check):
+    """An argparse ``type=`` from a JobSpec option's check: the same
+    "must be ..." text a fleet config reports for the key."""
+
+    def convert(text: str):
+        try:
+            return check.parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
 def _add_ingest_options(parser: argparse.ArgumentParser) -> None:
@@ -166,14 +180,7 @@ def _add_ingest_options(parser: argparse.ArgumentParser) -> None:
                              "source is a directory (default: auto-detect "
                              "from the available CPUs; 1 = sequential; "
                              "sources that cannot parallelize warn)")
-    parser.add_argument("--recursive", action="store_true",
-                        help="also discover .st files in nested "
-                             "subdirectories (per-host trace layouts)")
-    parser.add_argument("--lenient", action="store_true",
-                        help="tolerate corrupt input: undecodable bytes "
-                             "become U+FFFD (counted, warned) and orphan "
-                             "resumed records are skipped instead of "
-                             "aborting the parse")
+    _add_job_options(parser, "recursive", "lenient")
 
 
 def _mapping(args: argparse.Namespace):
@@ -187,12 +194,7 @@ def _add_pipeline_options(parser: argparse.ArgumentParser) -> None:
     _add_ingest_options(parser)
     parser.add_argument("--filter", default=None, metavar="SUBSTR",
                         help="keep only events whose path contains SUBSTR")
-    parser.add_argument("--mapping", default="topdirs",
-                        choices=("topdirs", "path", "call", "site"),
-                        help="event→activity mapping (default: the "
-                             "paper's call+top-2-dirs)")
-    parser.add_argument("--levels", type=int, default=2,
-                        help="directory levels for the mapping")
+    _add_job_options(parser, "mapping", "levels")
     parser.add_argument("--exclude-calls", default=None, metavar="A,B",
                         help="drop these syscalls before synthesis "
                              "(Fig. 9 skips openat)")
@@ -224,19 +226,6 @@ def _record_batch_run(args: argparse.Namespace, log: EventLog,
         stats=stats)
     run_id = RunCatalog(args.catalog).record_run(record)
     print(f"cataloged run {run_id} ({record.name!r}) in {args.catalog}")
-
-
-def _add_catalog_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--catalog", default=None, metavar="FILE",
-                        help="record this run (DFG, per-activity "
-                             "statistics, metadata, fingerprint) into "
-                             "a run catalog (created if missing; see "
-                             "docs/catalog.md and `st-inspector runs`)")
-    parser.add_argument("--run-name", default=None, metavar="NAME",
-                        help="name the cataloged run is recorded "
-                             "under (default: the source's basename); "
-                             "`runs list --app NAME` and catalog: "
-                             "baselines filter on it")
 
 
 def _print_json(payload) -> None:
@@ -462,46 +451,33 @@ def cmd_counters(args: argparse.Namespace) -> int:
     return 0
 
 
+def _watch_spec(args: argparse.Namespace):
+    """The job spec of a ``watch`` command line."""
+    from repro.fleet.job import OPTIONS, JobSpec
+
+    spec = JobSpec(
+        **{option.name: getattr(args, option.name) for option in OPTIONS},
+        telemetry=(args.metrics_port is not None
+                   or args.metrics_log is not None))
+    if args.once:
+        spec = spec.with_overrides(polls=1)
+    if spec.catalog and spec.run_name is None:
+        spec = spec.with_overrides(run_name=_default_run_name(spec.source))
+    return spec
+
+
 def cmd_watch(args: argparse.Namespace) -> int:
-    from repro.fleet.job import JobSpec
     from repro.live.watch import run_watch
 
-    # JobSpec.build_engine is the old inline wiring, extracted: rules
-    # loading (a malformed file raises AlertConfigError naming the
-    # offending rule), sink flags, telemetry, checkpoint restore.
-    # Anything it raises is a *configuration* error → main() → exit 2.
-    spec = JobSpec(
-        source=args.directory,
-        interval=args.interval,
-        polls=1 if args.once else args.polls,
-        checkpoint=args.checkpoint,
-        rules=args.rules,
-        baseline=args.baseline,
-        alert_log=args.alert_log,
-        emit=args.emit,
-        window=args.window,
-        memory_budget=args.memory_budget,
-        compact_emit=args.compact_emit,
-        mapping=args.mapping,
-        levels=args.levels,
-        recursive=args.recursive,
-        lenient=args.lenient,
-        show_dfg=not args.no_dfg,
-        top=args.top,
-        telemetry=(args.metrics_port is not None
-                   or args.metrics_log is not None),
-        metrics_log=args.metrics_log,
-        catalog=args.catalog,
-        run_name=(args.run_name or _default_run_name(args.directory)
-                  if args.catalog else None),
-    )
+    # JobSpec.build_engine is the old inline wiring, extracted:
+    # option conflicts, rules loading (a malformed file raises
+    # AlertConfigError naming the offending rule), telemetry,
+    # checkpoint restore. Anything it raises is a *configuration*
+    # error → main() → exit 2.
+    spec = _watch_spec(args)
     engine = spec.build_engine()
     try:
-        return run_watch(engine, interval=args.interval,
-                         polls=spec.polls,
-                         show_dfg=spec.show_dfg, top=args.top,
-                         metrics_port=args.metrics_port,
-                         metrics_log=args.metrics_log,
+        return run_watch(engine, metrics_port=args.metrics_port,
                          spec=spec)
     except ReproError as exc:
         # A failure *inside* the live loop (a tracked file vanishing,
@@ -711,7 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source", help=SOURCE_HELP)
     p.add_argument("output")
     _add_ingest_options(p)
-    _add_catalog_options(p)
+    _add_job_options(p, "catalog", "run_name")
     p.set_defaults(fn=cmd_convert)
 
     p = sub.add_parser("synthesize", help="build and render the DFG")
@@ -728,7 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="emit the statistics as JSON (the same shape "
                         "`runs show --json` uses) instead of the table")
-    _add_catalog_options(p)
+    _add_job_options(p, "catalog", "run_name")
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("compare",
@@ -767,78 +743,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("watch",
                        help="live-monitor a growing trace directory "
                             "(incremental ingestion + standing DFG)")
-    p.add_argument("directory", help="trace directory being written "
-                                     "(may still be empty)")
-    p.add_argument("--interval", type=_nonneg_float_arg, default=2.0,
-                   metavar="SEC",
-                   help="seconds between polls (default: 2)")
+    _add_job_options(p)
     p.add_argument("--once", action="store_true",
                    help="poll a single time and exit")
-    p.add_argument("--polls", type=_positive_int_arg, default=None,
-                   metavar="N",
-                   help="stop after N polls (default: run until ^C)")
-    p.add_argument("--checkpoint", default=None, metavar="FILE",
-                   help="JSON sidecar making ingestion resumable: "
-                        "loaded if present, rewritten after every poll")
-    p.add_argument("--window", type=_window_arg, default=None,
-                   metavar="N",
-                   help="bound per-case statistics memory: coarsen "
-                        "interval/rate buffers past N entries "
-                        "(scalar stats stay exact; merge counts and "
-                        "timelines become upper bounds, marked '~'; "
-                        "default: unbounded)")
-    p.add_argument("--memory-budget", type=_positive_int_arg,
-                   default=None, metavar="BYTES",
-                   help="adaptive --window: derive and re-derive the "
-                        "per-case interval-buffer cap each poll so "
-                        "the measured buffer footprint stays under "
-                        "BYTES (mutually exclusive with --window)")
-    p.add_argument("--emit", default=None, metavar="FILE",
-                   help="stream sealed records to a durable journal "
-                        "next to FILE and pack FILE as an .elog on "
-                        "exit — byte-identical to batch `convert` of "
-                        "the directory, surviving kill/restart cycles "
-                        "(combine with --checkpoint)")
-    p.add_argument("--compact-emit", type=_positive_int_arg,
-                   default=None, metavar="BYTES",
-                   help="rolling journal compaction: whenever the "
-                        "checkpointed part of the --emit journal "
-                        "exceeds BYTES, pack it into FILE and "
-                        "truncate the journal, keeping disk usage "
-                        "O(window) over a week-long watch (requires "
-                        "--emit and --checkpoint; the final .elog "
-                        "stays byte-identical to batch `convert`)")
-    p.add_argument("--rules", default=None, metavar="FILE",
-                   help="alerting rules file (TOML, or *.json): "
-                        "threshold rules over the refresh deltas, "
-                        "evaluated every poll (see docs/rules.md); "
-                        "fired alerts render as a pane and route to "
-                        "the configured sinks")
-    p.add_argument("--alert-log", default=None, metavar="FILE",
-                   help="append fired alerts as JSON lines to FILE "
-                        "(adds a jsonl sink on top of the rules "
-                        "file's [sinks]); requires --rules")
-    p.add_argument("--baseline", default=None, metavar="SOURCE",
-                   help="reference run for against='baseline' and "
-                        "absent_from_baseline rules — any trace "
-                        "source (elog:good.elog, sim:ior?ranks=4, a "
-                        "bare path); overrides the rules file's "
-                        "baseline entry; requires --rules")
-    p.add_argument("--recursive", action="store_true",
-                   help="also follow .st files in nested subdirectories")
-    p.add_argument("--lenient", action="store_true",
-                   help="tolerate corrupt input (as for batch ingestion)")
-    p.add_argument("--mapping", default="topdirs",
-                   choices=("topdirs", "path", "call", "site"),
-                   help="event→activity mapping (default: the paper's "
-                        "call+top-2-dirs)")
-    p.add_argument("--levels", type=int, default=2,
-                   help="directory levels for the mapping")
-    p.add_argument("--no-dfg", action="store_true",
-                   help="print the status/diff summary only, skip the "
-                        "ASCII DFG")
-    p.add_argument("--top", type=int, default=5,
-                   help="rows in the change-diff summary")
     p.add_argument("--metrics-port", type=_port_arg, default=None,
                    metavar="PORT",
                    help="serve Prometheus text on 127.0.0.1:PORT"
@@ -846,12 +753,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "/healthz for the life of the watch (0 binds "
                         "an ephemeral port, announced on stdout); "
                         "turns telemetry on")
-    p.add_argument("--metrics-log", default=None, metavar="FILE",
-                   help="append one JSON telemetry snapshot per poll "
-                        "to FILE (the offline twin of --metrics-port "
-                        "for hosts nothing scrapes); turns telemetry "
-                        "on")
-    _add_catalog_options(p)
     p.set_defaults(fn=cmd_watch)
 
     p = sub.add_parser("fleet",
@@ -863,10 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "per-job keys override (see docs/fleet.md)")
     p.add_argument("--once", action="store_true",
                    help="poll every job a single time and exit")
-    p.add_argument("--polls", type=_positive_int_arg, default=None,
-                   metavar="N",
-                   help="stop each job after N polls (default: run "
-                        "until ^C)")
+    _add_job_options(p, "polls")
     p.add_argument("--metrics-port", type=_port_arg, default=None,
                    metavar="PORT",
                    help="serve every job's Prometheus series (tagged "

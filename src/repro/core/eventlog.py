@@ -71,58 +71,9 @@ class EventLog:
                               workers=workers).event_log()
 
     @classmethod
-    def from_strace_dir(cls, directory, *, cids: set[str] | None = None,
-                        strict: bool = True, recursive: bool = False,
-                        workers: int | None = None) -> "EventLog":
-        """Read every ``<cid>_<host>_<rid>.st`` file in a directory.
-
-        .. deprecated:: 1.1
-           Use :meth:`from_source` (``EventLog.from_source(directory)``
-           or ``"strace:<dir>"``); this shim delegates to
-           :class:`~repro.sources.StraceDirSource` and produces a
-           byte-identical log.
-
-        ``workers`` fans per-file parsing out over a process pool
-        (``None`` auto-detects, ``1`` forces the sequential path; the
-        resulting log is identical either way — workers columnarize
-        cases in place and only arrays cross the process boundary).
-        ``recursive`` descends into nested per-host subdirectories.
-        """
-        import warnings
-
-        warnings.warn(
-            "EventLog.from_strace_dir is deprecated; use "
-            "EventLog.from_source(...)", DeprecationWarning,
-            stacklevel=2)
-        from repro.sources import StraceDirSource
-
-        return StraceDirSource(directory, cids=cids, strict=strict,
-                               recursive=recursive,
-                               workers=workers).event_log()
-
-    @classmethod
     def from_cases(cls, cases, pools: FramePools | None = None) -> "EventLog":
         """Build from already-parsed :class:`TraceCase` objects."""
         return cls(EventFrame.from_cases(cases, pools=pools))
-
-    @classmethod
-    def from_store(cls, path) -> "EventLog":
-        """Load from an ``.elog`` columnar container (see
-        :mod:`repro.elstore`).
-
-        .. deprecated:: 1.1
-           Use :meth:`from_source` (``EventLog.from_source(path)`` or
-           ``"elog:<path>"``).
-        """
-        import warnings
-
-        warnings.warn(
-            "EventLog.from_store is deprecated; use "
-            "EventLog.from_source(...)", DeprecationWarning,
-            stacklevel=2)
-        from repro.elstore.reader import read_event_log
-
-        return read_event_log(path)
 
     # -- shape / access ---------------------------------------------------------
 

@@ -22,6 +22,7 @@ rules loader.
     emit = "app2.elog"
 
 Relative paths — ``source``, ``checkpoint``, ``emit``, ``alert_log``,
+``catalog``,
 ``rules``, and path-shaped ``baseline`` specs — resolve against the
 directory of the config file, not the CWD, so a fleet file can live
 next to its trace tree and be launched from anywhere.
@@ -45,93 +46,49 @@ import tomllib
 from pathlib import Path
 
 from repro._util.errors import ReproError
-from repro.fleet.job import JobSpec
+from repro.fleet.job import CLI, DEFAULT, OPTIONS, JobSpec
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
+
+#: The options a fleet config sets, all declared on :class:`JobSpec`.
+_FLEET_OPTIONS = tuple(option for option in OPTIONS
+                       if option.scope != CLI)
 
 #: Keys allowed at the top level (defaults fanning out to every job).
 #: ``catalog`` fans out deliberately: the run catalog is multi-writer,
 #: so one shared ``catalog = "runs.db"`` is the normal fleet setup.
-DEFAULT_KEYS = ("interval", "rules", "baseline", "window", "mapping",
-                "levels", "recursive", "lenient", "dfg", "top",
-                "catalog", "memory_budget")
+DEFAULT_KEYS = tuple(option.key for option in _FLEET_OPTIONS
+                     if option.scope == DEFAULT)
 
-#: Keys allowed inside a ``[jobs.NAME]`` table. ``run_name`` is
-#: job-level only — a default run name shared by every job would make
-#: their cataloged histories indistinguishable; ``compact_emit`` is
-#: job-level only because it is meaningless without that job's own
-#: ``emit``/``checkpoint`` pair.
-JOB_KEYS = DEFAULT_KEYS + ("source", "checkpoint", "emit", "alert_log",
-                           "run_name", "compact_emit")
-
-_MAPPINGS = ("topdirs", "path", "call", "site")
+#: Keys allowed inside a ``[jobs.NAME]`` table: the defaults plus the
+#: job-only keys — ``source`` and the job's exclusive write paths,
+#: ``run_name`` (a default shared by every job would make their
+#: cataloged histories indistinguishable) and ``compact_emit``
+#: (meaningless without that job's own ``emit``/``checkpoint``).
+JOB_KEYS = tuple(option.key for option in _FLEET_OPTIONS)
 
 
 class FleetConfigError(ReproError):
     """A malformed fleet config — message names the job and key."""
 
 
-def _type_error(where: str, job: str | None, key: str,
-                want: str, got) -> FleetConfigError:
-    place = f"job {job!r}: " if job else ""
-    return FleetConfigError(
-        f"{where}: {place}key {key!r} must be {want} "
-        f"(got {got!r})")
+def _checked(entry: dict, where: str, job: str | None) -> dict:
+    """The entry's values, checked by their options and keyed by
+    :class:`JobSpec` field name."""
+    values = {}
+    for option in _FLEET_OPTIONS:
+        if option.key in entry:
+            try:
+                values[option.name] = option.check.check(
+                    entry[option.key])
+            except ValueError as exc:
+                place = f"job {job!r}: " if job else ""
+                raise FleetConfigError(
+                    f"{where}: {place}key {option.key!r} {exc}") from None
+    return values
 
 
-def _check_types(entry: dict, where: str, job: str | None) -> None:
-    for key, want, kinds in (
-            ("interval", "a number >= 0", (int, float)),
-            ("window", "an integer >= 2", (int,)),
-            ("memory_budget", "an integer >= 1 (bytes)", (int,)),
-            ("compact_emit", "an integer >= 1 (bytes)", (int,)),
-            ("levels", "an integer", (int,)),
-            ("top", "an integer >= 1", (int,)),
-            ("recursive", "a boolean", (bool,)),
-            ("lenient", "a boolean", (bool,)),
-            ("dfg", "a boolean", (bool,)),
-            ("source", "a string", (str,)),
-            ("rules", "a string", (str,)),
-            ("baseline", "a string", (str,)),
-            ("checkpoint", "a string", (str,)),
-            ("emit", "a string", (str,)),
-            ("alert_log", "a string", (str,)),
-            ("catalog", "a string", (str,)),
-            ("run_name", "a string", (str,)),
-            ("mapping", "a string", (str,))):
-        if key not in entry:
-            continue
-        value = entry[key]
-        # bool is an int subclass: a numeric key must not accept it.
-        if isinstance(value, bool) and bool not in kinds:
-            raise _type_error(where, job, key, want, value)
-        if not isinstance(value, kinds):
-            raise _type_error(where, job, key, want, value)
-    if "interval" in entry and entry["interval"] < 0:
-        raise _type_error(where, job, "interval", "a number >= 0",
-                          entry["interval"])
-    if "window" in entry and entry["window"] < 2:
-        raise _type_error(where, job, "window", "an integer >= 2",
-                          entry["window"])
-    if "memory_budget" in entry and entry["memory_budget"] < 1:
-        raise _type_error(where, job, "memory_budget",
-                          "an integer >= 1 (bytes)",
-                          entry["memory_budget"])
-    if "compact_emit" in entry and entry["compact_emit"] < 1:
-        raise _type_error(where, job, "compact_emit",
-                          "an integer >= 1 (bytes)",
-                          entry["compact_emit"])
-    if "top" in entry and entry["top"] < 1:
-        raise _type_error(where, job, "top", "an integer >= 1",
-                          entry["top"])
-    if "mapping" in entry and entry["mapping"] not in _MAPPINGS:
-        raise _type_error(where, job, "mapping",
-                          f"one of {_MAPPINGS}", entry["mapping"])
-
-
-def _resolve_path(base: Path, value: str | None) -> str | None:
-    if value is None:
-        return None
+def _resolve_path(base: Path, value: str) -> str:
     return str(base / value) if not os.path.isabs(value) else value
 
 
@@ -171,8 +128,7 @@ def parse_fleet_data(data: dict, *, where: str,
         raise FleetConfigError(
             f"{where}: unknown top-level key(s) {unknown} — defaults "
             f"are {sorted(DEFAULT_KEYS)}, jobs live under [jobs.NAME]")
-    defaults = {key: data[key] for key in DEFAULT_KEYS if key in data}
-    _check_types(defaults, where, None)
+    defaults = _checked(data, where, None)
     jobs_table = data.get("jobs")
     if not isinstance(jobs_table, dict) or not jobs_table:
         raise FleetConfigError(
@@ -196,64 +152,27 @@ def parse_fleet_data(data: dict, *, where: str,
             raise FleetConfigError(
                 f"{where}: job {name!r}: unknown key(s) {unknown} — "
                 f"job keys are {sorted(JOB_KEYS)}")
-        _check_types(entry, where, name)
-        merged = {**defaults, **entry}
+        merged = {**defaults, **_checked(entry, where, name)}
         if "source" not in merged:
             raise FleetConfigError(
                 f"{where}: job {name!r} has no source (the trace "
                 f"directory to watch)")
-        spec = JobSpec(
-            name=name,
-            source=_resolve_source(base, merged["source"]),
-            interval=float(merged.get("interval", 2.0)),
-            checkpoint=_resolve_path(base, merged.get("checkpoint")),
-            rules=_resolve_path(base, merged.get("rules")),
-            baseline=(_resolve_source(base, merged["baseline"])
-                      if merged.get("baseline") else None),
-            alert_log=_resolve_path(base, merged.get("alert_log")),
-            emit=_resolve_path(base, merged.get("emit")),
-            window=merged.get("window"),
-            memory_budget=merged.get("memory_budget"),
-            compact_emit=merged.get("compact_emit"),
-            mapping=merged.get("mapping", "topdirs"),
-            levels=merged.get("levels", 2),
-            recursive=merged.get("recursive", False),
-            lenient=merged.get("lenient", False),
-            show_dfg=merged.get("dfg", True),
-            top=merged.get("top", 5),
-            catalog=_resolve_path(base, merged.get("catalog")),
-            run_name=merged.get("run_name"),
-        )
-        if spec.run_name and not spec.catalog:
+        for option in _FLEET_OPTIONS:
+            value = merged.get(option.name)
+            if option.path == "file" and value:
+                merged[option.name] = _resolve_path(base, value)
+            elif option.path == "source" and value:
+                merged[option.name] = _resolve_source(base, value)
+        spec = JobSpec(name=name, **merged)
+        try:
+            spec.check()
+        except ReproError as exc:
             raise FleetConfigError(
-                f"{where}: job {name!r} has run_name but no catalog "
-                f"(run names label cataloged runs)")
+                f"{where}: job {name!r}: {exc}") from None
         if spec.catalog and not spec.run_name:
             # Cataloged runs default to the job name so every job's
             # history stays separable (runs list --app NAME).
             spec = spec.with_overrides(run_name=name)
-        if spec.alert_log and not spec.rules:
-            raise FleetConfigError(
-                f"{where}: job {name!r} has alert_log but no rules "
-                f"(no rules, nothing to fire)")
-        if spec.baseline and not spec.rules:
-            raise FleetConfigError(
-                f"{where}: job {name!r} has baseline but no rules "
-                f"(no rules, nothing to compare)")
-        if spec.window is not None and spec.memory_budget is not None:
-            raise FleetConfigError(
-                f"{where}: job {name!r} sets both window and "
-                f"memory_budget — the budget derives the window, pick "
-                f"one")
-        if spec.compact_emit is not None and not spec.emit:
-            raise FleetConfigError(
-                f"{where}: job {name!r} has compact_emit but no emit "
-                f"(there is no journal to compact)")
-        if spec.compact_emit is not None and not spec.checkpoint:
-            raise FleetConfigError(
-                f"{where}: job {name!r} has compact_emit but no "
-                f"checkpoint (compaction only packs journal bytes a "
-                f"durable sidecar already accounts for)")
         write_paths = [(key, getattr(spec, key))
                        for key in ("checkpoint", "emit", "alert_log")
                        if getattr(spec, key) is not None]

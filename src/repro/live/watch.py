@@ -43,10 +43,9 @@ class WatchView:
     """Stateful renderer of watch refreshes (remembers the baseline)."""
 
     def __init__(self, engine: LiveIngest, *, show_dfg: bool = True,
-                 show_stats: bool = True, top: int = 5) -> None:
+                 top: int = 5) -> None:
         self.engine = engine
         self.show_dfg = show_dfg
-        self.show_stats = show_stats
         self.top = top
         self._baseline: DFG | None = None
 
@@ -145,22 +144,19 @@ class WatchView:
         restarts, so the Load/DR labels always describe the same span
         of events as the graph they annotate.
         """
-        stats = None
-        if self.show_stats:
-            computed = self.engine.statistics()
-            if len(computed):
-                stats = computed
+        stats = self.engine.statistics()
+        if not len(stats):
+            stats = None
         styler = (PartitionColoring(current, self._baseline, stats)
                   if self._baseline is not None else None)
         return render_ascii(current, stats, styler)
 
 
 def run_watch(engine: LiveIngest, *,
-              interval: float = 2.0,
+              interval: float | None = None,
               polls: int | None = None,
-              show_dfg: bool = True,
-              show_stats: bool = True,
-              top: int = 5,
+              show_dfg: bool | None = None,
+              top: int | None = None,
               metrics_port: int | None = None,
               metrics_log: str | os.PathLike[str] | None = None,
               spec=None,
@@ -169,8 +165,13 @@ def run_watch(engine: LiveIngest, *,
               clock: Callable[[], float] = time.monotonic) -> int:
     """Poll → render → checkpoint → sleep, until stopped.
 
-    ``polls`` bounds the number of refreshes (``1`` is the CLI's
-    ``--once``); ``None`` runs until KeyboardInterrupt. When the
+    ``interval``, ``polls``, ``show_dfg``, ``top`` and ``metrics_log``
+    override the matching :class:`~repro.fleet.job.JobSpec` settings
+    of ``spec`` (the CLI passes its own; without one, the defaults:
+    2 s, unbounded, DFG shown, top 5); a keyword left ``None`` keeps
+    the spec's value. ``polls`` bounds the number of refreshes (``1``
+    is the CLI's ``--once``); ``None`` runs until KeyboardInterrupt.
+    When the
     engine carries an alert engine, it is evaluated after every poll —
     *before* the checkpoint save, so the sidecar always holds the
     latches of the alerts it has seen fire and a kill between the two
@@ -223,11 +224,20 @@ def run_watch(engine: LiveIngest, *,
     bytes are identical to the pre-refactor loop.
     """
     # Lazy: repro.fleet.job imports WatchView from this module.
-    from repro.fleet.job import WatchJob
+    from repro.fleet.job import JobSpec, WatchJob
     from repro.fleet.scheduler import FleetScheduler
 
+    # The spec also carries finalize-time policy the bare engine
+    # cannot — today the --catalog commit (run name, catalog path,
+    # recorded window/mapping metadata).
+    overrides = {key: value for key, value in (
+        ("interval", interval), ("polls", polls), ("show_dfg", show_dfg),
+        ("top", top), ("metrics_log", metrics_log)) if value is not None}
+    spec = (spec if spec is not None
+            else JobSpec(source=engine.directory)).with_overrides(
+                **overrides)
     telemetry = engine.telemetry
-    if (metrics_port is not None or metrics_log is not None) \
+    if (metrics_port is not None or spec.metrics_log is not None) \
             and not telemetry.enabled:
         raise ReproError(
             "metrics exposition needs an instrumented engine: "
@@ -240,12 +250,7 @@ def run_watch(engine: LiveIngest, *,
         server = MetricsServer(telemetry, metrics_port)
         out(f"serving metrics on http://{server.host}:{server.port}"
             f"/metrics (health: /healthz)")
-    # A JobSpec (the CLI passes its own) rides along for finalize-time
-    # policy the bare engine cannot carry — today the --catalog commit
-    # (run name, catalog path, recorded window/mapping metadata).
-    job = WatchJob(engine, interval=interval, polls=polls,
-                   show_dfg=show_dfg, show_stats=show_stats, top=top,
-                   metrics_log=metrics_log, spec=spec)
+    job = WatchJob(engine, spec)
     scheduler = FleetScheduler([job], out=out, sleep=sleep,
                                clock=clock)
     try:

@@ -71,46 +71,6 @@ class InspectionSession:
             workers=workers))
 
     @classmethod
-    def from_strace_dir(cls, directory: str | os.PathLike[str], *,
-                        cids: set[str] | None = None,
-                        strict: bool = True,
-                        recursive: bool = False,
-                        workers: int | None = None) -> "InspectionSession":
-        """Start a session from raw traces.
-
-        .. deprecated:: 1.1
-           Use :meth:`from_source` — this shim delegates to it.
-        """
-        import warnings
-
-        warnings.warn(
-            "InspectionSession.from_strace_dir is deprecated; use "
-            "InspectionSession.from_source(...)", DeprecationWarning,
-            stacklevel=2)
-        from repro.sources import StraceDirSource
-
-        return cls.from_source(StraceDirSource(
-            directory, cids=cids, strict=strict, recursive=recursive,
-            workers=workers))
-
-    @classmethod
-    def from_store(cls, path: str | os.PathLike[str]) -> "InspectionSession":
-        """Open a stored event-log.
-
-        .. deprecated:: 1.1
-           Use :meth:`from_source` — this shim delegates to it.
-        """
-        import warnings
-
-        warnings.warn(
-            "InspectionSession.from_store is deprecated; use "
-            "InspectionSession.from_source(...)", DeprecationWarning,
-            stacklevel=2)
-        from repro.sources import ElstoreSource
-
-        return cls.from_source(ElstoreSource(path))
-
-    @classmethod
     def from_live(cls, engine) -> "InspectionSession":
         """Session over the current snapshot of a live ingestion engine
         (:class:`~repro.live.engine.LiveIngest`).

@@ -4,8 +4,9 @@ The paper's native input (Sec. III), wrapped over the parallel
 ingestion engine (:mod:`repro.ingest`): discovery is sorted-path
 deterministic, per-file parsing fans out over ``workers`` processes,
 and both the streaming case iterator and the whole-log fast path are
-byte-identical to the legacy ``EventLog.from_strace_dir`` — pinned by
-the golden-fingerprint and equivalence suites.
+byte-identical to the record route (``EventLog.from_cases`` over
+``read_trace_dir``) — pinned by the golden-fingerprint and
+equivalence suites.
 """
 
 from __future__ import annotations

@@ -45,6 +45,21 @@ class TestDocsTree:
         for scheme in registered_schemes():
             assert f"`{scheme}:`" in text, scheme
 
+    def test_fleet_doc_lists_every_fleet_key(self):
+        from repro.fleet.config import JOB_KEYS
+
+        text = (REPO / "docs/fleet.md").read_text(encoding="utf-8")
+        for key in JOB_KEYS:
+            assert f"`{key}`" in text, key
+
+    def test_cli_doc_lists_every_watch_job_flag(self):
+        from repro.fleet.job import OPTIONS
+
+        text = (REPO / "docs/cli.md").read_text(encoding="utf-8")
+        for option in OPTIONS:
+            if option.flag.startswith("--"):
+                assert f"`{option.flag}" in text, option.flag
+
 
 class TestCopyPasteableRules:
     def test_the_rules_md_example_validates(self, monkeypatch):

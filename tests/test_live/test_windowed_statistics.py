@@ -214,4 +214,4 @@ class TestValidation:
         with pytest.raises(SystemExit) as excinfo:
             main(["watch", str(tmp_path), "--once", "--window", "1"])
         assert excinfo.value.code == 2
-        assert "must be >= 2" in capsys.readouterr().err
+        assert "must be an integer >= 2" in capsys.readouterr().err

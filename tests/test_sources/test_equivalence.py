@@ -1,15 +1,14 @@
 """Cross-source equivalence: every route into an EventLog agrees.
 
 The acceptance bar of the source redesign: ``StraceDirSource`` (and
-with it ``EventLog.from_source``) is byte-identical to the legacy
-``from_strace_dir`` path at every worker count, the simulator source
+with it ``EventLog.from_source``) is byte-identical to the record
+route (``EventLog.from_cases`` over ``read_trace_dir``) at every
+worker count, the simulator source
 is byte-identical to write-files-then-ingest, and the store/CSV
 sources reproduce their legacy readers.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ import pytest
 from repro.core.dfg import DFG
 from repro.core.eventlog import EventLog
 from repro.core.mapping import CallTopDirs
+from repro.strace.reader import read_trace_dir
 from repro.sources import (
     ElstoreSource,
     SimulationSource,
@@ -26,10 +26,11 @@ from repro.sources import (
 )
 
 
-def _legacy_from_strace_dir(directory, **kwargs) -> EventLog:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return EventLog.from_strace_dir(directory, **kwargs)
+def _legacy_from_strace_dir(directory, workers=None) -> EventLog:
+    """The record route: parsed ``TraceCase`` objects, then columns —
+    independent of the source's column builder."""
+    return EventLog.from_cases(read_trace_dir(directory,
+                                              workers=workers))
 
 
 class TestStraceDirSource:
@@ -169,27 +170,7 @@ class TestConvertSource:
         assert out.read_bytes() == ls_store.read_bytes()
 
 
-class TestDeprecatedShims:
-    def test_from_strace_dir_warns_and_matches(self, ls_traces,
-                                               logs_identical):
-        with pytest.warns(DeprecationWarning, match="from_source"):
-            legacy = EventLog.from_strace_dir(ls_traces)
-        logs_identical(legacy, EventLog.from_source(str(ls_traces)))
-
-    def test_from_store_warns_and_matches(self, ls_store,
-                                          logs_identical):
-        with pytest.warns(DeprecationWarning, match="from_source"):
-            legacy = EventLog.from_store(ls_store)
-        logs_identical(legacy, EventLog.from_source(str(ls_store)))
-
-    def test_session_shims_warn(self, ls_traces, ls_store):
-        from repro.pipeline.session import InspectionSession
-
-        with pytest.warns(DeprecationWarning, match="from_source"):
-            InspectionSession.from_strace_dir(ls_traces)
-        with pytest.warns(DeprecationWarning, match="from_source"):
-            InspectionSession.from_store(ls_store)
-
+class TestSessionFromSource:
     def test_session_from_source_all_schemes(self, ls_traces, ls_store):
         from repro.pipeline.session import InspectionSession
 
